@@ -31,10 +31,13 @@ for gdiv in divisors_of_modulus(10, MINUS):
     assert c.contains_dual() == c.contains_dual_by_subset()
 print("verified on all", len(divisors_of_modulus(10, MINUS)), "divisors of x^10+1")
 
-print("\n== two independent distance engines ==")
+print("\n== weight distribution from the smaller side ==")
 c = TernaryPolyCode(8, PLUS, parse_poly("x^2+1"))
-print(f"[8, {c.k}] code: enumerate -> {c.min_distance(method='enumerate')}, "
-      f"low-weight search -> {c.min_distance(method='search')}")
+print(f"[8, {c.k}] code: the 3^{c.dual().k} dual words are enumerated and "
+      f"MacWilliams gives A = {list(c.weight_distribution())}")
+print(f"distance -> {c.min_distance()}; oracles: enumerate -> "
+      f"{c.min_distance(method='enumerate')}, low-weight search -> "
+      f"{c.min_distance(method='search')}")
 
 print("\n== why x^8-1 admits no dual-containing proper quadratic ==")
 c8 = TernaryPolyCode(8, PLUS, parse_poly("x^2+1"))

@@ -528,8 +528,26 @@ def cmd_selftest(args) -> CommandResult:
 # -- parser / driver ---------------------------------------------------------
 
 
+def _int_at_least(text: str, minimum: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
 def _add_code_args(p):
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--sign", choices=("pos", "neg"), required=True)
     p.add_argument("--f1", required=True)
     p.add_argument("--f2", required=True)
@@ -546,13 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed", type=int, default=0, help="seed for randomized property trials"
     )
-    parser.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("factor", help="canonical factorization of x^n -+ 1")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--sign", choices=("pos", "neg"), required=True)
     p.set_defaults(func=cmd_factor)
 
@@ -566,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constacyclic", help="unit-multiplier shift structure")
     psub = p.add_subparsers(dest="action", required=True)
     pp = psub.add_parser("transport")
-    pp.add_argument("--n", type=int, required=True)
+    pp.add_argument("--n", type=positive_int, required=True)
     pp.add_argument("--lambda", dest="lam", required=True)
     pp.add_argument("--f1", required=True)
     pp.add_argument("--f2", required=True)
@@ -579,19 +594,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("skew", help="twisted polynomial codes")
     psub = p.add_subparsers(dest="action", required=True)
     pp = psub.add_parser("count")
-    pp.add_argument("--n", type=int, required=True)
+    pp.add_argument("--n", type=positive_int, required=True)
     pp.set_defaults(func=cmd_skew, action="count")
     pp = psub.add_parser("divisors")
-    pp.add_argument("--s", type=int, required=True)
+    pp.add_argument("--s", type=positive_int, required=True)
     pp.add_argument("--lambda", dest="lam", required=True)
     pp.set_defaults(func=cmd_skew, action="divisors")
     pp = psub.add_parser("gcld")
-    pp.add_argument("--s", type=int, required=True)
+    pp.add_argument("--s", type=positive_int, required=True)
     pp.add_argument("--lambda", dest="lam", required=True)
     pp.add_argument("polys", nargs="+")
     pp.set_defaults(func=cmd_skew, action="gcld")
     pp = psub.add_parser("code")
-    pp.add_argument("--n", type=int, required=True)
+    pp.add_argument("--n", type=positive_int, required=True)
     pp.add_argument("--f", required=True)
     pp.set_defaults(func=cmd_skew, action="code")
 
@@ -601,9 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_args(pp)
     pp.set_defaults(func=cmd_quantum, action="params")
     pp = psub.add_parser("scan")
-    pp.add_argument("--n", type=int, required=True)
+    pp.add_argument("--n", type=positive_int, required=True)
     pp.add_argument("--sign", choices=("pos", "neg"), required=True)
-    pp.add_argument("--limit", type=int, default=None)
+    pp.add_argument("--limit", type=non_negative_int, default=None)
     pp.set_defaults(func=cmd_quantum, action="scan")
     pp = psub.add_parser("verify-paper")
     pp.set_defaults(func=cmd_quantum, action="verify-paper")

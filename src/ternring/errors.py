@@ -66,6 +66,12 @@ class NotRightDivisor(TernringError):
     """The polynomial does not right-divide the required modulus."""
 
 
+class SelfCheckFailed(TernringError):
+    """A computed result failed its internal consistency check, so it is
+    not reported (raised explicitly, unlike ``assert``, which ``-O``
+    strips)."""
+
+
 class NotDualContaining(TernringError):
     """The code does not contain its dual; CSS construction impossible.
 

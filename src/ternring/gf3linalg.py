@@ -3,13 +3,19 @@
 Everything here treats matrices as collections of row vectors with
 entries reduced mod 3.  These helpers back the code constructions:
 row reduction for ranks and canonical bases, null spaces for duals,
-row-space membership for containment oracles, and a chunked exhaustive
-minimum-weight enumerator.
+row-space membership for containment oracles, a chunked exhaustive
+weight-distribution enumerator (minimum weight is read off it), and the
+MacWilliams transform to the dual's distribution.
 """
 
 from __future__ import annotations
 
+import functools
+from math import comb
+
 import numpy as np
+
+from .errors import SelfCheckFailed
 
 __all__ = [
     "as_gf3",
@@ -20,7 +26,9 @@ __all__ = [
     "row_space_contains",
     "same_row_space",
     "mat_mul",
+    "weight_distribution",
     "min_weight",
+    "macwilliams_transform",
     "MAX_ENUMERATION_DIM",
 ]
 
@@ -121,32 +129,83 @@ def _coefficient_grid(k: int) -> np.ndarray:
     return ((np.arange(3**k, dtype=np.int64)[:, None] // powers) % 3).astype(np.int8)
 
 
-def min_weight(generator) -> int:
-    """Exact minimum Hamming weight over all nonzero codewords of the
-    row space, by chunked full enumeration (the generator may contain
-    dependent rows; the span is what is enumerated)."""
+def _span(basis: np.ndarray) -> np.ndarray:
+    """All 3^k combinations of the k basis rows as int8 words, the zero
+    word first."""
+    grid = _coefficient_grid(basis.shape[0]).astype(np.int64)
+    return ((grid @ basis.astype(np.int64)) % 3).astype(np.int8)
+
+
+def weight_distribution(generator) -> list[int]:
+    """Exact weight distribution [A_0, ..., A_n] of the row space, by
+    chunked full enumeration (the generator may contain dependent rows;
+    the span is what is enumerated).  At most 3^9 words are held at once:
+    a suffix block over the last nine basis rows, shifted by each prefix
+    combination of the others."""
     basis = row_basis(generator)
-    k = basis.shape[0]
-    if k == 0:
-        raise ValueError("zero code has no nonzero codewords")
+    k, n = basis.shape
     if k > MAX_ENUMERATION_DIM:
         raise ValueError(
             f"enumeration of 3^{k} codewords exceeds the 3^{MAX_ENUMERATION_DIM} limit"
         )
     k_low = min(k, 9)
-    low = basis[k - k_low :].astype(np.int64)
-    suffixes = (_coefficient_grid(k_low).astype(np.int64) @ low) % 3
-    suffix_weights = np.count_nonzero(suffixes, axis=1)
-    best = int(suffix_weights[1:].min()) if suffixes.shape[0] > 1 else None
+    suffixes = _span(basis[k - k_low :])
+    counts = np.bincount(np.count_nonzero(suffixes, axis=1), minlength=n + 1)
+    # A coordinate of suffix + prefix vanishes exactly where the suffix
+    # equals -prefix, so each block is one comparison, not a sum mod 3.
+    for negated in (-_span(basis[: k - k_low])[1:]) % 3:
+        zeros = (suffixes == negated).sum(axis=1, dtype=np.int64)
+        counts += np.bincount(n - zeros, minlength=n + 1)
+    return [int(c) for c in counts]
 
-    k_high = k - k_low
-    if k_high:
-        high = basis[:k_high].astype(np.int64)
-        prefixes = (_coefficient_grid(k_high).astype(np.int64) @ high) % 3
-        for prefix in prefixes[1:]:
-            words = (suffixes + prefix) % 3
-            w = int(np.count_nonzero(words, axis=1).min())
-            if best is None or w < best:
-                best = w
-    assert best is not None
-    return best
+
+def min_weight(generator) -> int:
+    """Exact minimum Hamming weight over all nonzero codewords of the
+    row space: the first w >= 1 with A_w > 0 in its weight distribution."""
+    distribution = weight_distribution(generator)
+    if sum(distribution) == 1:
+        raise ValueError("zero code has no nonzero codewords")
+    for w in range(1, len(distribution)):
+        if distribution[w]:
+            return w
+    raise SelfCheckFailed("a nonzero row space enumerated no nonzero codeword")
+
+
+@functools.lru_cache(maxsize=64)
+def _krawtchouk(n: int) -> tuple[tuple[int, ...], ...]:
+    """K[w][j] = sum_i (-1)^i 2^(w-i) C(j, i) C(n-j, w-i), the ternary
+    Krawtchouk values of length n."""
+    return tuple(
+        tuple(
+            sum(
+                (-1) ** i * 2 ** (w - i) * comb(j, i) * comb(n - j, w - i)
+                for i in range(max(0, w - n + j), min(j, w) + 1)
+            )
+            for j in range(n + 1)
+        )
+        for w in range(n + 1)
+    )
+
+
+def macwilliams_transform(distribution, dim: int) -> list[int]:
+    """Weight distribution of the dual of a length-n GF(3) code of
+    dimension ``dim`` whose weight distribution is [B_0, ..., B_n]:
+    A_w = 3^-dim * sum_j B_j K_w(j) in exact integers (MacWilliams-Sloane,
+    ch. 5).  The result is checked: every A_w is a nonnegative integer,
+    A_0 = 1, and the A_w sum to 3^(n - dim)."""
+    n = len(distribution) - 1
+    size = 3**dim
+    out = []
+    for w, row in enumerate(_krawtchouk(n)):
+        total = sum(b * kw for b, kw in zip(distribution, row))
+        a, rest = divmod(total, size)
+        if rest or a < 0:
+            raise SelfCheckFailed(f"MacWilliams transform gives A_{w} = {total}/3^{dim}")
+        out.append(a)
+    if out[0] != 1:
+        raise SelfCheckFailed(f"MacWilliams transform gives A_0 = {out[0]}")
+    if sum(out) != 3 ** (n - dim):
+        raise SelfCheckFailed(
+            f"MacWilliams transform counts {sum(out)} words, not 3^{n - dim}"
+        )
+    return out

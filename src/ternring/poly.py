@@ -25,6 +25,7 @@ from .errors import (
     BothZero,
     ConstantPolynomial,
     DivisionByZeroPoly,
+    SelfCheckFailed,
     ZeroPolynomial,
 )
 
@@ -59,10 +60,6 @@ class Z3Poly:
     @classmethod
     def monomial(cls, degree: int, coef: int = 1) -> "Z3Poly":
         return cls([0] * degree + [coef])
-
-    @classmethod
-    def from_string(cls, text: str) -> "Z3Poly":
-        return parse_poly(text)
 
     # -- structure -----------------------------------------------------
 
@@ -383,7 +380,7 @@ def _split_equal_degree(g: Z3Poly, d: int) -> list[Z3Poly]:
         s = gcd(g, w - Z3Poly([1])) if w else None
         if s is not None and 0 < s.degree < g.degree:
             return _split_equal_degree(s, d) + _split_equal_degree(g // s, d)
-    raise AssertionError("unreachable: equal-degree split failed")
+    raise SelfCheckFailed("equal-degree split found no proper factor")
 
 
 def _split_squarefree(w: Z3Poly) -> list[Z3Poly]:
@@ -440,7 +437,8 @@ def factor(f: Z3Poly) -> Factorization:
             e += 1
         parts.append((p, e))
     result = Factorization(unit, tuple(parts))
-    assert result.expand() == f, "factorization self-check failed"
+    if result.expand() != f:
+        raise SelfCheckFailed(f"factorization {result} does not multiply back to {f}")
     return result
 
 

@@ -13,7 +13,8 @@ constructions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 from .errors import NotDualContaining
 from .poly import ModulusSign, Z3Poly, divisors_of_modulus, parse_poly
@@ -72,25 +73,34 @@ def scan_dual_containing(
 
     A component generator f is admissible when f * reciprocal(f)
     divides the modulus; every triple of admissible generators gives a
-    dual-containing ring code.
+    dual-containing ring code.  Its parameters depend only on the
+    per-component (k, d), so each divisor is examined once and the
+    triples are combined from that table: K = 2(k1+k2+k3) - 3n, and d
+    is the least distance over the nonzero components (the Lee distance
+    of the ring code).
     """
-    eligible = [
-        g
-        for g in divisors_of_modulus(n, sign)
-        if TernaryPolyCode(n, sign, g).contains_dual()
-    ]
+    table = []
+    for g in divisors_of_modulus(n, sign):
+        code = TernaryPolyCode(n, sign, g)
+        if code.contains_dual():
+            table.append((g, code.k, code.min_distance() if code.k else None, str(g)))
     rows = []
-    for triple in itertools.combinations_with_replacement(eligible, 3):
-        code = RCode.from_sign(n, sign, triple)
-        rows.append((*triple, css_params(code, check=True)))
-    rows.sort(
-        key=lambda row: (
-            -row[3].K,
-            -row[3].d,
-            tuple(str(f) for f in row[:3]),
-        )
-    )
-    return rows
+    for (g1, k1, d1, s1), (g2, k2, d2, s2), (g3, k3, d3, s3) in (
+        itertools.combinations_with_replacement(table, 3)
+    ):
+        K = 2 * (k1 + k2 + k3) - 3 * n
+        d = min(d for d in (d1, d2, d3) if d is not None)
+        rows.append((-K, -d, (s1, s2, s3), g1, g2, g3))
+    rows.sort(key=operator.itemgetter(0, 1, 2))
+    # Few distinct (K, d) occur, and QuantumParams is immutable, so rows
+    # with equal parameters share one instance.
+    params = {
+        (neg_K, neg_d): QuantumParams(3 * n, -neg_K, -neg_d)
+        for neg_K, neg_d in {row[:2] for row in rows}
+    }
+    return [
+        (g1, g2, g3, params[neg_K, neg_d]) for neg_K, neg_d, _, g1, g2, g3 in rows
+    ]
 
 
 @dataclass(frozen=True)

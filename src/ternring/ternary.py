@@ -3,20 +3,29 @@
 A length-n code with generator g (a monic divisor of x^n -+ 1) has
 dimension k = n - deg g, generator matrix rows x^i * g for i < k,
 dual generator equal to the monic reciprocal of (modulus / g), and a
-divisibility-based membership test.  Minimum Hamming distance is exact:
-full enumeration for small dimensions, and an exhaustive low-weight
-support search otherwise.  Both engines agree wherever both run.
+divisibility-based membership test.  The weight distribution is exact:
+the smaller of the code and its dual (dimension at most 14) is fully
+enumerated, and the dual side is carried over by the MacWilliams
+transform.  Minimum Hamming distance is read off it, and an exhaustive
+low-weight support search covers codes whose dimension and codimension
+both exceed 14.  Direct enumeration and the search remain available as
+oracles.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
 
 from . import gf3linalg
-from .errors import LengthMismatch, NotADivisor, ZeroCode, ZeroPolynomial
+from .errors import (
+    LengthMismatch,
+    NotADivisor,
+    SelfCheckFailed,
+    ZeroCode,
+    ZeroPolynomial,
+)
 from .poly import ModulusSign, Z3Poly, modulus
 
 __all__ = ["TernaryPolyCode"]
@@ -25,7 +34,7 @@ __all__ = ["TernaryPolyCode"]
 class TernaryPolyCode:
     """An ideal of Z3[x]/(x^n - 1) or Z3[x]/(x^n + 1), as a linear code."""
 
-    __slots__ = ("n", "sign", "g", "k")
+    __slots__ = ("n", "sign", "g", "k", "__weakref__")
 
     def __init__(self, n: int, sign: ModulusSign, g: Z3Poly):
         if not isinstance(g, Z3Poly):
@@ -122,16 +131,36 @@ class TernaryPolyCode:
             raise LengthMismatch(f"expected a length-{self.n} word")
         return not (Z3Poly(vec.tolist()) % self.g)
 
-    @functools.lru_cache(maxsize=None)
+    def weight_distribution(self) -> list[int]:
+        """Exact [A_0, ..., A_n]: the smaller of C and C^perp is
+        enumerated, and when that is the dual, A(C) comes from the
+        MacWilliams transform of its distribution.  Raises ValueError
+        when both dimensions exceed the enumeration cap."""
+        if self.k <= self.n - self.k:
+            return gf3linalg.weight_distribution(self.generator_matrix())
+        dual = self.dual()
+        return gf3linalg.macwilliams_transform(
+            gf3linalg.weight_distribution(dual.generator_matrix()), dual.k
+        )
+
     def min_distance(self, method: str = "auto") -> int:
-        """Exact minimum Hamming weight of a nonzero codeword; cached,
-        since instances are immutable and equality is structural."""
+        """Exact minimum Hamming weight of a nonzero codeword.
+
+        ``auto`` reads it off the weight distribution whenever
+        min(k, n - k) allows enumeration, and runs the support search
+        otherwise; ``enumerate`` (direct, k <= 14) and ``search`` force
+        one engine and serve as oracles."""
         if self.k == 0:
             raise ZeroCode("the zero code has no nonzero codeword")
         if method == "auto":
-            method = (
-                "enumerate" if self.k <= gf3linalg.MAX_ENUMERATION_DIM else "search"
-            )
+            cap = gf3linalg.MAX_ENUMERATION_DIM
+            if self.k <= min(self.n - self.k, cap):
+                method = "enumerate"
+            elif self.n - self.k <= cap:
+                distribution = self.weight_distribution()
+                return next(w for w in range(1, self.n + 1) if distribution[w])
+            else:
+                method = "search"
         if method == "enumerate":
             return gf3linalg.min_weight(self.generator_matrix())
         if method == "search":
@@ -164,4 +193,4 @@ class TernaryPolyCode:
                 remainders = (patterns @ residues) % 3
                 if (~remainders.any(axis=1)).any():
                     return w
-        raise AssertionError("nonzero code must contain a nonzero codeword")
+        raise SelfCheckFailed("the support search found no nonzero codeword")

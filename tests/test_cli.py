@@ -4,11 +4,15 @@ codes, JSON payloads, and byte-level determinism."""
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ternring
 from ternring.cli import SELFTEST_EXPECTED_FLAGS, main
 
 
@@ -254,6 +258,37 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             run_cli("factor", "--n", "4")
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("factor", "--n", "0", "--sign", "pos"),
+            ("quantum", "scan", "--n", "-1", "--sign", "neg"),
+            ("skew", "divisors", "--s", "0", "--lambda", "1"),
+            ("quantum", "scan", "--n", "4", "--sign", "pos", "--limit", "-1"),
+        ],
+    )
+    def test_out_of_range_sizes_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv)
+        assert err.value.code == 2
+
+    def test_out_of_range_size_exits_two_without_traceback(self):
+        src = str(Path(ternring.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ternring.cli", "factor", "--n", "0", "--sign", "pos"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert "must be at least 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_zero_limit_is_allowed(self):
+        code, doc, _ = run_json("quantum", "scan", "--n", "4", "--sign", "pos", "--limit", "0")
+        assert code == 0
+        assert doc["payload"]["rows"] == []
 
     def test_installed_script(self):
         if shutil.which("ternring") is None:

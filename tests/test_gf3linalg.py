@@ -1,0 +1,87 @@
+"""Tests for the GF(3) weight-distribution kernel, minimum weight, and
+the MacWilliams transform, against brute-force enumeration."""
+
+import itertools
+from math import comb
+
+import numpy as np
+import pytest
+
+from ternring import gf3linalg
+from ternring.errors import SelfCheckFailed
+
+TETRACODE = [[1, 0, 1, 1], [0, 1, 1, 2]]
+
+
+def brute_distribution(generator):
+    """Weight counts of every coefficient combination of the rows,
+    divided by the multiplicity 3^(rows - rank) of each word."""
+    gen = np.array(generator, dtype=np.int64)
+    rows, n = gen.shape
+    coeffs = np.array(list(itertools.product(range(3), repeat=rows)), dtype=np.int64)
+    weights = np.count_nonzero((coeffs @ gen) % 3, axis=1)
+    repeat = 3 ** (rows - gf3linalg.rank(gen))
+    return [int(c) // repeat for c in np.bincount(weights, minlength=n + 1)]
+
+
+class TestWeightDistribution:
+    def test_chunked_enumeration_matches_brute_force(self):
+        # rank 10 > 9, so the prefix loop runs
+        rng = np.random.default_rng(5)
+        gen = rng.integers(0, 3, size=(10, 13))
+        assert gf3linalg.rank(gen) == 10
+        assert gf3linalg.weight_distribution(gen) == brute_distribution(gen)
+
+    def test_dependent_rows_count_the_span(self):
+        gen = TETRACODE + [[1, 1, 2, 0]]
+        assert gf3linalg.weight_distribution(gen) == [1, 0, 0, 8, 0]
+
+    def test_zero_row_space(self):
+        assert gf3linalg.weight_distribution(np.zeros((2, 3))) == [1, 0, 0, 0]
+        with pytest.raises(ValueError):
+            gf3linalg.min_weight(np.zeros((2, 3)))
+
+    def test_enumeration_cap(self):
+        with pytest.raises(ValueError):
+            gf3linalg.weight_distribution(np.eye(15, dtype=np.int8))
+
+    def test_min_weight_is_first_nonzero_weight(self):
+        assert gf3linalg.min_weight(TETRACODE) == 3
+        assert gf3linalg.min_weight([[0, 1, 1, 0, 2]]) == 3
+
+    def test_min_weight_self_check(self, monkeypatch):
+        # a nonzero row space that enumerates no nonzero word is refused
+        monkeypatch.setattr(gf3linalg, "weight_distribution", lambda g: [3, 0, 0])
+        with pytest.raises(SelfCheckFailed):
+            gf3linalg.min_weight([[1, 0]])
+
+
+class TestMacWilliams:
+    def test_tetracode_is_self_dual(self):
+        assert gf3linalg.macwilliams_transform([1, 0, 0, 8, 0], 2) == [1, 0, 0, 8, 0]
+
+    def test_zero_code_dualizes_to_full_space(self):
+        n = 7
+        assert gf3linalg.macwilliams_transform([1] + [0] * n, 0) == [
+            comb(n, w) * 2**w for w in range(n + 1)
+        ]
+
+    def test_matches_enumerated_null_space(self):
+        rng = np.random.default_rng(11)
+        gen = rng.integers(0, 3, size=(4, 9))
+        dual = gf3linalg.null_space(gen)
+        assert gf3linalg.macwilliams_transform(
+            gf3linalg.weight_distribution(gen), gf3linalg.rank(gen)
+        ) == brute_distribution(dual)
+
+    @pytest.mark.parametrize(
+        "distribution,dim",
+        [
+            ([1, 0, 0, 7, 0], 2),  # total not 3^dim: A_w not integral
+            ([1, 0, 0, 8, 0], 1),  # wrong dimension
+            ([1, 0, 0, 2, 6], 2),  # not a code's distribution: A_1 < 0
+        ],
+    )
+    def test_inconsistent_input_is_refused(self, distribution, dim):
+        with pytest.raises(SelfCheckFailed):
+            gf3linalg.macwilliams_transform(distribution, dim)

@@ -19,6 +19,7 @@ from ternring.errors import (
     BothZero,
     ConstantPolynomial,
     DivisionByZeroPoly,
+    SelfCheckFailed,
     ZeroPolynomial,
 )
 
@@ -291,6 +292,13 @@ class TestFactor:
             factor(P("2"))
         with pytest.raises(ZeroPolynomial):
             factor(Z3Poly(()))
+
+    def test_self_check_is_not_an_assert(self, monkeypatch):
+        # a factorization that does not multiply back is refused with a
+        # domain error, also where assertions are stripped
+        monkeypatch.setattr(Factorization, "expand", lambda self: P("x"))
+        with pytest.raises(SelfCheckFailed):
+            factor(P("x^2+1"))
 
     def test_factorization_value_semantics(self):
         fz = factor(P("x^6+2"))

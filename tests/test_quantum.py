@@ -23,6 +23,26 @@ def code(n, sign, texts):
     return RCode.from_sign(n, sign, tuple(P(t) for t in texts))
 
 
+def scan_by_triple(n, sign):
+    """Per-triple oracle for the scan: build the ring code of every
+    triple of dual-containing divisors and derive its parameters with
+    the checked CSS construction."""
+    from itertools import combinations_with_replacement
+
+    from ternring.poly import divisors_of_modulus
+
+    eligible = [
+        g for g in divisors_of_modulus(n, sign)
+        if TernaryPolyCode(n, sign, g).contains_dual()
+    ]
+    rows = [
+        (*triple, css_params(RCode.from_sign(n, sign, triple), check=True))
+        for triple in combinations_with_replacement(eligible, 3)
+    ]
+    rows.sort(key=lambda row: (-row[3].K, -row[3].d, tuple(str(f) for f in row[:3])))
+    return rows
+
+
 class TestQuantumParams:
     def test_formatting(self):
         p = QuantumParams(18, 6, 2)
@@ -126,6 +146,13 @@ class TestScan:
                     assert comp.contains_dual()
                     assert comp.contains_dual_by_subset()
                 assert params.K >= 0
+
+    def test_table_scan_matches_per_triple_oracle(self):
+        for n in range(1, 13):
+            for sign in (PLUS, MINUS):
+                assert scan_dual_containing(n, sign) == scan_by_triple(n, sign), (
+                    n, sign,
+                )
 
     def test_scan_misses_nothing(self):
         # brute cross-check at n = 4: every divisor triple that passes

@@ -1,13 +1,16 @@
 """Tests for ternary polynomial codes: construction, duals,
-dual-containment, and minimum distance (both engines)."""
+dual-containment, weight distributions, and minimum distance (every
+engine)."""
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
 from ternring import gf3linalg
-from ternring.errors import LengthMismatch, NotADivisor, ZeroCode
+from ternring.errors import LengthMismatch, NotADivisor, SelfCheckFailed, ZeroCode
 from ternring.poly import ModulusSign, Z3Poly, divisors_of_modulus, modulus, parse_poly
 from ternring.ternary import TernaryPolyCode
 
@@ -154,17 +157,97 @@ class TestMinDistance:
             code(5, PLUS, "x^5+2").min_distance()
 
     def test_engines_agree(self):
-        for n, sign in [(6, PLUS), (8, PLUS), (10, MINUS), (12, PLUS)]:
-            for g in divisors_of_modulus(n, sign):
-                c = TernaryPolyCode(n, sign, g)
-                if not 0 < c.k <= 8:
-                    continue
-                assert c.min_distance(method="enumerate") == c.min_distance(
-                    method="search"
-                ), (n, sign, g)
+        # all 242 divisor codes with n <= 12, both signs: the default
+        # engine (distribution of the smaller side) against direct
+        # enumeration and the support search
+        seen = 0
+        for n in range(1, 13):
+            for sign in (PLUS, MINUS):
+                for g in divisors_of_modulus(n, sign):
+                    c = TernaryPolyCode(n, sign, g)
+                    seen += 1
+                    if c.k == 0:
+                        for method in ("auto", "enumerate", "search"):
+                            with pytest.raises(ZeroCode):
+                                c.min_distance(method)
+                        continue
+                    d = c.min_distance()
+                    assert d == c.min_distance("enumerate"), (n, sign, g)
+                    assert d == c.min_distance("search"), (n, sign, g)
+        assert seen == 242
 
     def test_distance_matches_exhaustive_weight(self):
         c = code(10, MINUS, "x^4+x^3+2x+1")
         words = c.codewords()
         weights = (words != 0).sum(axis=1)
         assert int(weights[weights > 0].min()) == 4
+
+    def test_beyond_enumeration_cap_uses_dual_side(self):
+        # k = 16 > 14: the distance comes from the 2-dimensional dual
+        # and must match the support search
+        c = code(18, PLUS, "x^2+x+1")
+        assert c.k == 16
+        assert c.min_distance() == c.min_distance("search") == 2
+        with pytest.raises(ValueError):
+            c.min_distance("enumerate")
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError):
+            code(6, PLUS, "x^2+2").min_distance("guess")
+
+    def test_instance_collectable_after_distance(self):
+        c = code(10, MINUS, "x^4+x^3+2x+1")
+        assert c.min_distance() == 4
+        ref = weakref.ref(c)
+        del c
+        gc.collect()
+        assert ref() is None
+
+
+def _weights_by_bincount(c):
+    weights = np.count_nonzero(c.codewords(), axis=1)
+    return [int(a) for a in np.bincount(weights, minlength=c.n + 1)]
+
+
+class TestWeightDistribution:
+    def test_matches_codeword_enumeration(self):
+        # every divisor code with n <= 10, both signs; for k > n - k the
+        # distribution comes from the dual through MacWilliams
+        for n in range(1, 11):
+            for sign in (PLUS, MINUS):
+                for g in divisors_of_modulus(n, sign):
+                    c = TernaryPolyCode(n, sign, g)
+                    assert c.weight_distribution() == _weights_by_bincount(c), (
+                        n, sign, g,
+                    )
+
+    def test_reference_code(self):
+        # [10, 6, 4] negacyclic code: 3^6 words, least nonzero weight 4
+        dist = code(10, MINUS, "x^4+x^3+2x+1").weight_distribution()
+        assert sum(dist) == 3**6
+        assert dist[:4] == [1, 0, 0, 0]
+        assert dist[4] > 0
+
+    def test_full_and_zero_codes(self):
+        full = code(4, PLUS, "1").weight_distribution()
+        assert full == [
+            2**w * len(list(itertools.combinations(range(4), w))) for w in range(5)
+        ]
+        assert code(4, PLUS, "x^4+2").weight_distribution() == [1, 0, 0, 0, 0]
+
+    def test_macwilliams_mismatch_raises(self, monkeypatch):
+        # a corrupted dual-side count cannot pass the transform's checks
+        c = code(10, MINUS, "x^4+x^3+2x+1")
+        assert c.k > c.n - c.k
+        real = gf3linalg.weight_distribution
+
+        def corrupted(generator):
+            dist = real(generator)
+            dist[-1] += 1
+            return dist
+
+        monkeypatch.setattr(gf3linalg, "weight_distribution", corrupted)
+        with pytest.raises(SelfCheckFailed):
+            c.weight_distribution()
+        with pytest.raises(SelfCheckFailed):
+            c.min_distance()

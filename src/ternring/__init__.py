@@ -2,179 +2,22 @@
 
 __version__ = "0.1.0"
 
-from . import errors
-from .ring import (
-    RingElement,
-    element,
-    scalar,
-    from_gray,
-    parse_element,
-    format_ring_poly,
-    parse_ring_poly,
-    ZERO,
-    ONE,
-    TWO,
-    V,
-    V2,
-    E1,
-    E2,
-    E3,
-    IDEMPOTENTS,
-    UNITS,
-    THETA_FIXED_UNITS,
-    ELEMENTS,
-    ideals,
-)
-from .poly import (
-    Z3Poly,
-    ModulusSign,
-    modulus,
-    parse_poly,
-    gcd,
-    factor,
-    Factorization,
-    monic_irreducibles,
-    divisors_of_modulus,
-)
-from .ternary import TernaryPolyCode
-from .rcodes import (
-    RVector,
-    as_rvector,
-    gray_vector,
-    ungray_vector,
-    ring_inner_product,
-    cyclic_shift,
-    negacyclic_shift,
-    constacyclic_shift,
-    section_shift,
-    constacyclic_section_shift,
-    skew_cyclic_shift,
-    skew_constacyclic_shift,
-    skew_section_shift,
-    skew_constacyclic_section_shift,
-    gray_block_cyclic_shift,
-    gray_block_constacyclic_shift,
-    gray_block_section_shift,
-    gray_swap_last_blocks,
-    RCode,
-    decompose_generator,
-    transport_vector,
-    constacyclic_transport,
-    classify_constacyclic,
-    GrayModule,
-)
-from .skew import (
-    SkewPoly,
-    parse_skew_poly,
-    skew_mul,
-    skew_right_divmod,
-    power_minus_constant,
-    is_right_divisor,
-    monic_right_divisors,
-    SkewCyclicCode,
-    skew_cyclic_code,
-    count_skew_cyclic,
-    skew_count_formula,
-    odd_equivalence_check,
-    vector_to_polys,
-    polys_to_vector,
-    hermitian_conjugate,
-    hermitian_inner_product,
-    gcld,
-    SkewQCModule,
-    one_generator_sqc,
-)
-from .quantum import (
-    QuantumParams,
-    css_params,
-    scan_dual_containing,
-    ReferenceRow,
-    REFERENCE_TABLE,
-    EXPECTED_FLAGS,
-    verify_reference_table,
-)
+from . import errors, poly, quantum, rcodes, ring, skew, ternary
+from .poly import *
+from .quantum import *
+from .rcodes import *
+from .ring import *
+from .skew import *
+from .ternary import *
 
+# the public names are each module's own __all__, listed once there
 __all__ = [
     "errors",
-    "RingElement",
-    "element",
-    "scalar",
-    "from_gray",
-    "parse_element",
-    "format_ring_poly",
-    "parse_ring_poly",
-    "ZERO",
-    "ONE",
-    "TWO",
-    "V",
-    "V2",
-    "E1",
-    "E2",
-    "E3",
-    "IDEMPOTENTS",
-    "UNITS",
-    "THETA_FIXED_UNITS",
-    "ELEMENTS",
-    "ideals",
-    "Z3Poly",
-    "ModulusSign",
-    "modulus",
-    "parse_poly",
-    "gcd",
-    "factor",
-    "Factorization",
-    "monic_irreducibles",
-    "divisors_of_modulus",
-    "TernaryPolyCode",
-    "RVector",
-    "as_rvector",
-    "gray_vector",
-    "ungray_vector",
-    "ring_inner_product",
-    "cyclic_shift",
-    "negacyclic_shift",
-    "constacyclic_shift",
-    "section_shift",
-    "constacyclic_section_shift",
-    "skew_cyclic_shift",
-    "skew_constacyclic_shift",
-    "skew_section_shift",
-    "skew_constacyclic_section_shift",
-    "gray_block_cyclic_shift",
-    "gray_block_constacyclic_shift",
-    "gray_block_section_shift",
-    "gray_swap_last_blocks",
-    "RCode",
-    "decompose_generator",
-    "transport_vector",
-    "constacyclic_transport",
-    "classify_constacyclic",
-    "GrayModule",
-    "SkewPoly",
-    "parse_skew_poly",
-    "skew_mul",
-    "skew_right_divmod",
-    "power_minus_constant",
-    "is_right_divisor",
-    "monic_right_divisors",
-    "SkewCyclicCode",
-    "skew_cyclic_code",
-    "count_skew_cyclic",
-    "skew_count_formula",
-    "odd_equivalence_check",
-    "vector_to_polys",
-    "polys_to_vector",
-    "hermitian_conjugate",
-    "hermitian_inner_product",
-    "gcld",
-    "SkewQCModule",
-    "one_generator_sqc",
-    "QuantumParams",
-    "css_params",
-    "scan_dual_containing",
-    "ReferenceRow",
-    "REFERENCE_TABLE",
-    "EXPECTED_FLAGS",
-    "verify_reference_table",
+    *ring.__all__,
+    *poly.__all__,
+    *ternary.__all__,
+    *rcodes.__all__,
+    *skew.__all__,
+    *quantum.__all__,
     "__version__",
 ]

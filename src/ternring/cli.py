@@ -37,10 +37,7 @@ from .rcodes import (
     constacyclic_transport,
     cyclic_shift,
     decompose_generator,
-    gray_block_constacyclic_shift,
-    gray_block_cyclic_shift,
-    gray_block_section_shift,
-    gray_swap_last_blocks,
+    gray_shift,
     gray_vector,
     section_shift,
     skew_cyclic_shift,
@@ -86,8 +83,7 @@ def _sign_name(sign: ModulusSign) -> str:
 
 
 def _build_rcode(args) -> RCode:
-    gens = tuple(parse_poly(t) for t in (args.f1, args.f2, args.f3))
-    return RCode.from_sign(args.n, _sign(args.sign), gens)
+    return RCode.from_sign(args.n, _sign(args.sign), (args.f1, args.f2, args.f3))
 
 
 def _render_rcode(code: RCode) -> dict:
@@ -190,15 +186,14 @@ def cmd_code(args) -> CommandResult:
 
 
 def cmd_constacyclic(args) -> CommandResult:
-    lam = parse_element(args.lam)
+    lam = args.lam
     if args.action == "classify":
         kinds = classify_constacyclic(lam)
         payload = {"lam": str(lam), "components": list(kinds)}
         return CommandResult(
             "ok", payload, [], [f"lam={lam}: " + ", ".join(kinds)]
         )
-    gens = tuple(parse_poly(t) for t in (args.f1, args.f2, args.f3))
-    source = RCode.cyclic(args.n, gens)
+    source = RCode.cyclic(args.n, (args.f1, args.f2, args.f3))
     target = constacyclic_transport(source, lam)
     payload = {
         "lam": str(lam),
@@ -223,20 +218,22 @@ def cmd_skew(args) -> CommandResult:
         payload = {"n": args.n, "count": count}
         return CommandResult("ok", payload, [], [f"count({args.n}) = {count}"])
     if args.action == "divisors":
-        lam = parse_element(args.lam)
-        divs = [str(d) for d in monic_right_divisors(args.s, lam)]
-        payload = {"s": args.s, "lam": str(lam), "count": len(divs), "divisors": divs}
+        divs = [str(d) for d in monic_right_divisors(args.s, args.lam)]
+        payload = {
+            "s": args.s,
+            "lam": str(args.lam),
+            "count": len(divs),
+            "divisors": divs,
+        }
         return CommandResult(
             "ok", payload, [], [f"{len(divs)} monic right divisors:"] + divs
         )
     if args.action == "gcld":
-        lam = parse_element(args.lam)
-        polys = [parse_skew_poly(t) for t in args.polys]
-        g = gcld(polys, args.s, lam)
-        payload = {"s": args.s, "lam": str(lam), "gcld": str(g)}
+        g = gcld(args.polys, args.s, args.lam)
+        payload = {"s": args.s, "lam": str(args.lam), "gcld": str(g)}
         return CommandResult("ok", payload, [], [f"gcld = {g}"])
     # code
-    code = skew_cyclic_code(parse_skew_poly(args.f), args.n)
+    code = skew_cyclic_code(args.f, args.n)
     payload = {
         "n": args.n,
         "f": str(code.f),
@@ -357,7 +354,7 @@ def _diagram_suites(rng, trials):
             v = rand_vec(rng.randrange(1, 17))
             bad += not np.array_equal(
                 gray_vector(cyclic_shift(v)),
-                gray_block_cyclic_shift(gray_vector(v)),
+                gray_shift(len(v))(gray_vector(v)),
             )
         return bad
 
@@ -369,7 +366,7 @@ def _diagram_suites(rng, trials):
             v = rand_vec(s * l)
             bad += not np.array_equal(
                 gray_vector(section_shift(v, s, l)),
-                gray_block_section_shift(gray_vector(v), l),
+                gray_shift(s * l, l=l)(gray_vector(v)),
             )
         return bad
 
@@ -379,7 +376,7 @@ def _diagram_suites(rng, trials):
             v = rand_vec(rng.randrange(1, 17))
             bad += not np.array_equal(
                 gray_vector(skew_cyclic_shift(v)),
-                gray_swap_last_blocks(gray_block_cyclic_shift(gray_vector(v))),
+                gray_shift(len(v), twist=True)(gray_vector(v)),
             )
         return bad
 
@@ -391,7 +388,7 @@ def _diagram_suites(rng, trials):
             v = rand_vec(rng.randrange(1, 17))
             bad += not np.array_equal(
                 gray_vector(constacyclic_shift(v, lam)),
-                gray_block_constacyclic_shift(gray_vector(v), lam.gray),
+                gray_shift(len(v), lam)(gray_vector(v)),
             )
         return bad
 
@@ -546,12 +543,32 @@ def non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+def _parsed(parse):
+    """An argparse type that reports malformed text as a usage error."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(f"{text!r}: {err}") from None
+
+    return convert
+
+
+ring_element = _parsed(parse_element)
+ternary_poly = _parsed(parse_poly)
+skew_poly = _parsed(parse_skew_poly)
+
+
+def _add_generator_args(p):
+    for name in ("--f1", "--f2", "--f3"):
+        p.add_argument(name, type=ternary_poly, required=True)
+
+
 def _add_code_args(p):
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--sign", choices=("pos", "neg"), required=True)
-    p.add_argument("--f1", required=True)
-    p.add_argument("--f2", required=True)
-    p.add_argument("--f3", required=True)
+    _add_generator_args(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -582,13 +599,11 @@ def build_parser() -> argparse.ArgumentParser:
     psub = p.add_subparsers(dest="action", required=True)
     pp = psub.add_parser("transport")
     pp.add_argument("--n", type=positive_int, required=True)
-    pp.add_argument("--lambda", dest="lam", required=True)
-    pp.add_argument("--f1", required=True)
-    pp.add_argument("--f2", required=True)
-    pp.add_argument("--f3", required=True)
+    pp.add_argument("--lambda", dest="lam", type=ring_element, required=True)
+    _add_generator_args(pp)
     pp.set_defaults(func=cmd_constacyclic, action="transport")
     pp = psub.add_parser("classify")
-    pp.add_argument("--lambda", dest="lam", required=True)
+    pp.add_argument("--lambda", dest="lam", type=ring_element, required=True)
     pp.set_defaults(func=cmd_constacyclic, action="classify")
 
     p = sub.add_parser("skew", help="twisted polynomial codes")
@@ -598,16 +613,16 @@ def build_parser() -> argparse.ArgumentParser:
     pp.set_defaults(func=cmd_skew, action="count")
     pp = psub.add_parser("divisors")
     pp.add_argument("--s", type=positive_int, required=True)
-    pp.add_argument("--lambda", dest="lam", required=True)
+    pp.add_argument("--lambda", dest="lam", type=ring_element, required=True)
     pp.set_defaults(func=cmd_skew, action="divisors")
     pp = psub.add_parser("gcld")
     pp.add_argument("--s", type=positive_int, required=True)
-    pp.add_argument("--lambda", dest="lam", required=True)
-    pp.add_argument("polys", nargs="+")
+    pp.add_argument("--lambda", dest="lam", type=ring_element, required=True)
+    pp.add_argument("polys", type=skew_poly, nargs="+")
     pp.set_defaults(func=cmd_skew, action="gcld")
     pp = psub.add_parser("code")
     pp.add_argument("--n", type=positive_int, required=True)
-    pp.add_argument("--f", required=True)
+    pp.add_argument("--f", type=skew_poly, required=True)
     pp.set_defaults(func=cmd_skew, action="code")
 
     p = sub.add_parser("quantum", help="CSS construction over the Gray image")

@@ -33,6 +33,7 @@ __all__ = [
     "Z3Poly",
     "ModulusSign",
     "modulus",
+    "parse_poly",
     "gcd",
     "factor",
     "Factorization",

@@ -5,13 +5,15 @@ the C_i are ternary codes (the Gray-coordinate blocks) and the e_i are
 the orthogonal idempotents.  This module provides:
 
 * vectors over the ring and the blockwise Gray map on them,
-* the shift operators (cyclic, constacyclic, sectioned, and their
-  twisted variants) together with the matching blockwise ternary maps,
+* the shift operators on ring vectors (cyclic, constacyclic, sectioned,
+  and their twisted variants), and gray_shift, the one Gray-space form
+  of all of them: a coordinate permutation with a +-1 scale per
+  coordinate (the user API and the test oracle stay on the ring side),
 * RCode: component-triple codes with Gray image, Lee distance, duals,
   cardinality, self-orthogonality, and combined generators,
 * transport between cyclic and constacyclic codes for odd length,
 * GrayModule: a generic submodule engine over Gray coordinates used for
-  twisted-shift closures and brute-force checks.
+  closures under Gray-space shifts and brute-force checks.
 """
 
 from __future__ import annotations
@@ -56,10 +58,7 @@ __all__ = [
     "skew_constacyclic_shift",
     "skew_section_shift",
     "skew_constacyclic_section_shift",
-    "gray_block_cyclic_shift",
-    "gray_block_constacyclic_shift",
-    "gray_block_section_shift",
-    "gray_swap_last_blocks",
+    "gray_shift",
     "RCode",
     "decompose_generator",
     "transport_vector",
@@ -194,52 +193,39 @@ def skew_constacyclic_section_shift(vec, lam, l: int) -> RVector:
     return tuple(e.theta() for e in constacyclic_section_shift(vec, lam, l))
 
 
-# -- blockwise ternary maps on Gray vectors -------------------------------
+# -- shift operators on Gray vectors --------------------------------------
 
 
-def _blocks(arr) -> tuple[np.ndarray, int]:
-    arr = np.asarray(arr, dtype=np.int64) % 3
-    if arr.ndim != 1 or arr.shape[0] % 3:
-        raise LengthMismatch("Gray vector length must be a multiple of 3")
-    return arr.astype(np.int8), arr.shape[0] // 3
+def gray_shift(n: int, lam=ONE, l: int = 1, twist: bool = False):
+    """The Gray-space form of every shift above, as a map on GF(3) arrays
+    of shape (..., 3n).
 
+    Each block of the Gray image is rotated by l positions, the l wrapped
+    entries of block b are scaled by the b-th Gray coordinate of lam, and
+    with twist the automorphism swaps the second and third blocks.  So
+    gray_shift(n, lam, l, twist) composed with gray_vector equals
+    gray_vector composed with constacyclic_section_shift(., lam, l), or
+    with its skew form when twist is set; lam = 1 and l = 1 give the
+    cyclic, constacyclic and sectioned special cases."""
+    lam = _require_unit(lam)
+    if l < 1 or n < 1 or n % l:
+        raise BadFactorization(f"length {n} is not a multiple of {l}")
+    blocks = (0, 2, 1) if twist else (0, 1, 2)
+    rotated = (np.arange(n) - l) % n
+    perm = np.concatenate([b * n + rotated for b in blocks])
+    scale = np.ones(3 * n, dtype=np.int8)
+    for out, b in enumerate(blocks):
+        scale[out * n : out * n + l] = lam.gray[b]
 
-def gray_block_cyclic_shift(arr) -> np.ndarray:
-    """Cyclic shift applied to each of the three blocks in parallel."""
-    return gray_block_constacyclic_shift(arr, (1, 1, 1))
+    def shift(rows) -> np.ndarray:
+        rows = np.asarray(rows)
+        if rows.shape[-1] != 3 * n:
+            raise LengthMismatch(
+                f"expected Gray vectors of length {3 * n}, got {rows.shape[-1]}"
+            )
+        return rows[..., perm] * scale % 3
 
-
-def gray_block_constacyclic_shift(arr, multipliers) -> np.ndarray:
-    """Per-block constacyclic shift; multipliers are the three ternary
-    wrap factors."""
-    arr, n = _blocks(arr)
-    out = np.empty_like(arr)
-    for b, m in enumerate(multipliers):
-        block = arr[b * n : (b + 1) * n]
-        out[b * n] = (m * int(block[-1])) % 3
-        out[b * n + 1 : (b + 1) * n] = block[:-1]
-    return out
-
-
-def gray_block_section_shift(arr, l: int) -> np.ndarray:
-    """Rotate each block by l positions (the sectioned shift)."""
-    arr, n = _blocks(arr)
-    if l < 1 or n % l:
-        raise BadFactorization(f"block length {n} is not a multiple of {l}")
-    out = np.empty_like(arr)
-    for b in range(3):
-        block = arr[b * n : (b + 1) * n]
-        out[b * n : (b + 1) * n] = np.roll(block, l)
-    return out
-
-
-def gray_swap_last_blocks(arr) -> np.ndarray:
-    """Exchange the second and third blocks."""
-    arr, n = _blocks(arr)
-    out = arr.copy()
-    out[n : 2 * n] = arr[2 * n :]
-    out[2 * n :] = arr[n : 2 * n]
-    return out
+    return shift
 
 
 # -- component-triple codes ----------------------------------------------
@@ -538,21 +524,16 @@ class GrayModule:
         return cls(rows, n)
 
     @classmethod
-    def closure(cls, vectors, ops, n: int | None = None) -> "GrayModule":
+    def closure(cls, vectors, maps, n: int | None = None) -> "GrayModule":
         """Smallest submodule containing the given ring vectors and
-        stable under each of the given vector maps (which must send
-        submodules to submodules, e.g. additive theta-semilinear maps)."""
+        stable under each of the given Gray-space maps (which must send
+        submodules to submodules, as every gray_shift does)."""
         current = cls.from_rvectors(vectors, n)
         while True:
-            images = [op(v) for v in current.basis_rvectors() for op in ops]
-            if not images:
-                return current
-            rows = np.vstack(
-                [current.basis] + [gray_vector(v).reshape(1, -1) for v in images]
-            )
+            rows = np.vstack([current.basis] + [m(current.basis) for m in maps])
             grown = cls(rows, current.n)
             if grown.rank == current.rank:
-                return grown
+                return current
             current = grown
 
     @property

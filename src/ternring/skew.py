@@ -25,15 +25,8 @@ from .errors import (
     NotRightDivisor,
     OddS,
 )
-from .poly import ModulusSign, factor, modulus
-from .rcodes import (
-    GrayModule,
-    as_rvector,
-    cyclic_shift,
-    gray_vector,
-    skew_constacyclic_section_shift,
-    skew_cyclic_shift,
-)
+from .poly import ModulusSign, divisors_of_modulus, factor, modulus
+from .rcodes import GrayModule, as_rvector, cyclic_shift, gray_shift
 from .ring import (
     ELEMENTS,
     IDEMPOTENTS,
@@ -263,7 +256,7 @@ def monic_right_divisors(n: int, lam) -> tuple[SkewPoly, ...]:
         raise NotAUnit(f"{lam} is not a unit")
     m = power_minus_constant(n, lam)
     sign1 = ModulusSign.PLUS if lam.gray[0] == 1 else ModulusSign.MINUS
-    base_divisors = _commutative_divisors(n, sign1)
+    base_divisors = divisors_of_modulus(n, sign1)
     m23 = np.array(
         [[m.coeff(i).gray[1], m.coeff(i).gray[2]] for i in range(n + 1)],
         dtype=np.int64,
@@ -333,27 +326,7 @@ def _monic_right_divisors_brute(n: int, lam) -> tuple[SkewPoly, ...]:
     return tuple(found)
 
 
-def _commutative_divisors(n: int, sign: ModulusSign):
-    from .poly import divisors_of_modulus
-
-    return divisors_of_modulus(n, sign)
-
-
 # -- skew cyclic codes ------------------------------------------------------
-
-
-def _left_x_step(lam, l: int):
-    """Left multiplication by x on length-s*l vectors of the quotient
-    module: the twisted sectioned shift whose wrap factor is theta(lam)
-    (the automorphism passes over the wrapped coefficient before the
-    modulus relation x^s = lam applies)."""
-    lam = _as_element(lam)
-    tl = lam.theta()
-
-    def step(vec):
-        return skew_constacyclic_section_shift(vec, tl, l)
-
-    return step
 
 
 class SkewCyclicCode:
@@ -405,7 +378,7 @@ def skew_cyclic_code(f: SkewPoly, n: int) -> SkewCyclicCode:
     for _ in range(n - f.degree):
         seeds.append(tuple(g.coeff(i) for i in range(n)))
         g = SkewPoly([ZERO, ONE]) * g  # multiply by x on the left
-    mod = GrayModule.closure(seeds, [skew_cyclic_shift], n)
+    mod = GrayModule.closure(seeds, [gray_shift(n, twist=True)], n)
     return SkewCyclicCode(n, f, mod)
 
 
@@ -619,7 +592,11 @@ def one_generator_sqc(polys, s: int, l: int, lam) -> SkewQCModule:
         mod = GrayModule(np.zeros((0, 3 * n), dtype=np.int8), n)
         return SkewQCModule(s, l, lam, fs, power_minus_constant(s, lam), mod)
     seed = polys_to_vector(fs, s, l)
-    mod = GrayModule.closure([seed], [_left_x_step(lam, l)], n)
+    # left multiplication by x is the twisted sectioned shift whose wrap
+    # factor is theta(lam): the automorphism passes over the wrapped
+    # coefficient before the modulus relation x^s = lam applies
+    left_x = gray_shift(n, lam.theta(), l, twist=True)
+    mod = GrayModule.closure([seed], [left_x], n)
     try:
         g = gcld([p for p in fs if p], s, lam)
     except NonUnitLeadingCoefficient:

@@ -26,7 +26,6 @@ from ternring import (
     UNITS,
     V,
     ZERO,
-    constacyclic_section_shift,
     constacyclic_shift,
     count_skew_cyclic,
     cyclic_shift,
@@ -34,10 +33,7 @@ from ternring import (
     divisors_of_modulus,
     format_ring_poly,
     from_gray,
-    gray_block_constacyclic_shift,
-    gray_block_cyclic_shift,
-    gray_block_section_shift,
-    gray_swap_last_blocks,
+    gray_shift,
     gray_vector,
     hermitian_inner_product,
     ideals,
@@ -186,7 +182,7 @@ def test_criterion_3_gray_map_property_suite():
         v = rand_vec(rng.randrange(1, 17))
         return np.array_equal(
             gray_vector(cyclic_shift(v)),
-            gray_block_cyclic_shift(gray_vector(v)),
+            gray_shift(len(v))(gray_vector(v)),
         )
 
     def section_diagram():
@@ -194,14 +190,14 @@ def test_criterion_3_gray_map_property_suite():
         v = rand_vec(s * l)
         return np.array_equal(
             gray_vector(section_shift(v, s, l)),
-            gray_block_section_shift(gray_vector(v), l),
+            gray_shift(s * l, l=l)(gray_vector(v)),
         )
 
     def twisted_cyclic_diagram():
         v = rand_vec(rng.randrange(1, 17))
         return np.array_equal(
             gray_vector(skew_cyclic_shift(v)),
-            gray_swap_last_blocks(gray_block_cyclic_shift(gray_vector(v))),
+            gray_shift(len(v), twist=True)(gray_vector(v)),
         )
 
     def twisted_constacyclic_diagram():
@@ -209,9 +205,7 @@ def test_criterion_3_gray_map_property_suite():
         v = rand_vec(rng.randrange(1, 17))
         return np.array_equal(
             gray_vector(skew_constacyclic_shift(v, lam)),
-            gray_swap_last_blocks(
-                gray_block_constacyclic_shift(gray_vector(v), lam.gray)
-            ),
+            gray_shift(len(v), lam, twist=True)(gray_vector(v)),
         )
 
     def twisted_section_diagram():
@@ -220,9 +214,7 @@ def test_criterion_3_gray_map_property_suite():
         v = rand_vec(s * l)
         return np.array_equal(
             gray_vector(skew_constacyclic_section_shift(v, lam, l)),
-            gray_swap_last_blocks(
-                gray_vector(constacyclic_section_shift(v, lam, l))
-            ),
+            gray_shift(s * l, lam, l, twist=True)(gray_vector(v)),
         )
 
     families = (

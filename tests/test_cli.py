@@ -28,6 +28,17 @@ def run_json(*argv):
     return code, json.loads(out), err
 
 
+def run_module(*argv, python_flags=()):
+    """Run the CLI in a fresh interpreter on this checkout's package."""
+    src = str(Path(ternring.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "ternring.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 class TestFactor:
     def test_three_factor_golden(self):
         code, doc, _ = run_json("factor", "--n", "10", "--sign", "neg")
@@ -242,6 +253,14 @@ class TestSelftest:
         b = run_cli("--json", "quantum", "verify-paper")
         assert a == b
 
+    def test_same_json_under_optimize_flag(self):
+        # -O strips assert statements; no self-check may depend on one
+        plain = run_module("--json", "selftest", "paper")
+        optimized = run_module("--json", "selftest", "paper", python_flags=("-O",))
+        assert plain.returncode == optimized.returncode == 0
+        assert json.loads(plain.stdout)["status"] == "flag"
+        assert optimized.stdout == plain.stdout
+
     def test_seed_changes_trials_not_outcome(self):
         code, out, _ = run_cli("--seed", "99", "selftest", "paper")
         assert code == 0
@@ -274,16 +293,30 @@ class TestUsage:
         assert err.value.code == 2
 
     def test_out_of_range_size_exits_two_without_traceback(self):
-        src = str(Path(ternring.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "ternring.cli", "factor", "--n", "0", "--sign", "pos"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        proc = run_module("factor", "--n", "0", "--sign", "pos")
         assert proc.returncode == 2
         assert "must be at least 1" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("constacyclic", "classify", "--lambda", "q"),
+            ("skew", "divisors", "--s", "2", "--lambda", "q"),
+            ("skew", "code", "--n", "3", "--f", "zz"),
+            ("skew", "gcld", "--s", "2", "--lambda", "1", "x+q"),
+            ("code", "build", "--n", "4", "--sign", "pos",
+             "--f1", "xx", "--f2", "1", "--f3", "1"),
+            ("constacyclic", "transport", "--n", "3", "--lambda", "2",
+             "--f1", "x+2", "--f2", "[1,a]", "--f3", "x+2"),
+        ],
+    )
+    def test_malformed_text_exits_two_without_traceback(self, argv):
+        proc = run_module("--json", *argv)
+        assert proc.returncode == 2
+        assert "error: argument" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_zero_limit_is_allowed(self):
         code, doc, _ = run_json("quantum", "scan", "--n", "4", "--sign", "pos", "--limit", "0")

@@ -25,10 +25,7 @@ from ternring.rcodes import (
     constacyclic_transport,
     cyclic_shift,
     decompose_generator,
-    gray_block_constacyclic_shift,
-    gray_block_cyclic_shift,
-    gray_block_section_shift,
-    gray_swap_last_blocks,
+    gray_shift,
     gray_vector,
     negacyclic_shift,
     ring_inner_product,
@@ -135,15 +132,23 @@ class TestShiftOperators:
 
 
 class TestShiftDiagrams:
-    """The Gray map intertwines each ring-side shift with a blockwise
-    ternary map."""
+    """The Gray map intertwines each ring-side shift with gray_shift, a
+    permutation with a +-1 scale per Gray coordinate."""
 
     def test_cyclic_diagram(self):
         for _ in range(100):
             v = rand_vec(RNG.randrange(1, 7))
             assert np.array_equal(
                 gray_vector(cyclic_shift(v)),
-                gray_block_cyclic_shift(gray_vector(v)),
+                gray_shift(len(v))(gray_vector(v)),
+            )
+
+    def test_negacyclic_diagram(self):
+        for _ in range(50):
+            v = rand_vec(RNG.randrange(1, 7))
+            assert np.array_equal(
+                gray_vector(negacyclic_shift(v)),
+                gray_shift(len(v), scalar(-1))(gray_vector(v)),
             )
 
     def test_constacyclic_diagram(self):
@@ -152,7 +157,7 @@ class TestShiftDiagrams:
                 v = rand_vec(RNG.randrange(1, 7))
                 assert np.array_equal(
                     gray_vector(constacyclic_shift(v, lam)),
-                    gray_block_constacyclic_shift(gray_vector(v), lam.gray),
+                    gray_shift(len(v), lam)(gray_vector(v)),
                 )
 
     def test_section_diagram(self):
@@ -161,7 +166,7 @@ class TestShiftDiagrams:
                 v = rand_vec(n)
                 assert np.array_equal(
                     gray_vector(section_shift(v, n // l, l)),
-                    gray_block_section_shift(gray_vector(v), l),
+                    gray_shift(n, l=l)(gray_vector(v)),
                 )
 
     def test_skew_cyclic_diagram(self):
@@ -170,7 +175,7 @@ class TestShiftDiagrams:
             v = rand_vec(RNG.randrange(1, 7))
             assert np.array_equal(
                 gray_vector(skew_cyclic_shift(v)),
-                gray_swap_last_blocks(gray_block_cyclic_shift(gray_vector(v))),
+                gray_shift(len(v), twist=True)(gray_vector(v)),
             )
 
     def test_skew_constacyclic_diagram(self):
@@ -179,9 +184,7 @@ class TestShiftDiagrams:
                 v = rand_vec(RNG.randrange(1, 7))
                 assert np.array_equal(
                     gray_vector(skew_constacyclic_shift(v, lam)),
-                    gray_swap_last_blocks(
-                        gray_block_constacyclic_shift(gray_vector(v), lam.gray)
-                    ),
+                    gray_shift(len(v), lam, twist=True)(gray_vector(v)),
                 )
 
     def test_skew_section_diagram(self):
@@ -190,9 +193,7 @@ class TestShiftDiagrams:
                 v = rand_vec(n)
                 assert np.array_equal(
                     gray_vector(skew_section_shift(v, n // l, l)),
-                    gray_swap_last_blocks(
-                        gray_block_section_shift(gray_vector(v), l)
-                    ),
+                    gray_shift(n, l=l, twist=True)(gray_vector(v)),
                 )
 
     def test_skew_constacyclic_section_composes(self):
@@ -201,6 +202,36 @@ class TestShiftDiagrams:
             direct = skew_constacyclic_section_shift(v, lam, 2)
             manual = tuple(e.theta() for e in constacyclic_section_shift(v, lam, 2))
             assert direct == manual
+
+    def test_every_shift_on_stacked_rows(self):
+        # every unit, both twists and every sectioning s*l <= 8, applied
+        # to a matrix of Gray rows at once
+        for lam, twist in itertools.product(UNITS, (False, True)):
+            ring_shift = (
+                skew_constacyclic_section_shift if twist else constacyclic_section_shift
+            )
+            for n in range(1, 9):
+                for l in [d for d in range(1, n + 1) if n % d == 0]:
+                    vecs = [rand_vec(n) for _ in range(4)]
+                    rows = np.array([gray_vector(v) for v in vecs])
+                    expected = np.array(
+                        [gray_vector(ring_shift(v, lam, l)) for v in vecs]
+                    )
+                    got = gray_shift(n, lam, l, twist)(rows)
+                    assert got.shape == rows.shape
+                    assert np.array_equal(got, expected), (lam, twist, n, l)
+
+    def test_gray_shift_errors(self):
+        with pytest.raises(LengthMismatch):
+            gray_shift(3)(np.zeros(8, dtype=np.int8))
+        with pytest.raises(LengthMismatch):
+            gray_shift(3)(np.zeros((2, 12), dtype=np.int8))
+        with pytest.raises(BadFactorization):
+            gray_shift(6, l=4)
+        with pytest.raises(BadFactorization):
+            gray_shift(4, l=0)
+        with pytest.raises(NotAUnit):
+            gray_shift(4, E("v"))
 
 
 class TestRCode:

@@ -24,6 +24,7 @@ from ternring.rcodes import (
     RCode,
     as_rvector,
     cyclic_shift,
+    gray_shift,
     gray_vector,
     ring_inner_product,
     skew_constacyclic_section_shift,
@@ -313,7 +314,7 @@ def _closed_submodule_count(n):
     lattice = {}
     principal = []
     for w in itertools.product(ELEMENTS, repeat=n):
-        m = GrayModule.closure([w], [skew_cyclic_shift], n)
+        m = GrayModule.closure([w], [gray_shift(n, twist=True)], n)
         key = m.basis.tobytes()
         if key not in lattice:
             lattice[key] = m
@@ -740,3 +741,63 @@ class TestOneGenerator:
         m = one_generator_sqc([P("x+1")], 2, 1, 1)
         with pytest.raises(AttributeError):
             m.s = 4
+
+
+def _ring_closure(vectors, ops, n):
+    """Closure on the ring side: each round takes the basis back to ring
+    vectors, applies the ring-level shifts, and maps the images to Gray."""
+    current = GrayModule.from_rvectors(vectors, n)
+    while True:
+        images = [gray_vector(op(v)) for v in current.basis_rvectors() for op in ops]
+        if not images:
+            return current
+        grown = GrayModule(np.vstack([current.basis] + images), n)
+        if grown.rank == current.rank:
+            return grown
+        current = grown
+
+
+class TestGrayClosure:
+    """Closing under gray_shift gives byte for byte the bases that the
+    ring-side closure under the matching ring-level shift gives."""
+
+    def test_skew_cyclic_codes(self):
+        checked = 0
+        for n in range(1, 7):
+            for f in monic_right_divisors(n, 1):
+                seeds, g = [], f
+                for _ in range(n - f.degree):
+                    seeds.append(tuple(g.coeff(i) for i in range(n)))
+                    g = X * g
+                oracle = _ring_closure(seeds, [skew_cyclic_shift], n)
+                code = skew_cyclic_code(f, n)
+                assert code.module.basis.tobytes() == oracle.basis.tobytes(), (n, f)
+                checked += 1
+        assert checked == 190
+
+    def test_one_generator_modules(self):
+        rng = random.Random(41)
+        for s, l in ((2, 1), (2, 2), (2, 3), (2, 4), (4, 1), (4, 2)):
+            for lam in UNITS:
+                choices = list(monic_right_divisors(s, lam)) + [SkewPoly()]
+                for _ in range(6):
+                    fs = [rng.choice(choices) for _ in range(l)]
+                    m = one_generator_sqc(fs, s, l, lam)
+                    seed = polys_to_vector(m.generators, s, l)
+                    oracle = _ring_closure([seed], [_nabla(lam.theta(), l)], s * l)
+                    assert m.module.basis.tobytes() == oracle.basis.tobytes()
+
+    def test_random_seeds_and_two_maps(self):
+        # seeds that are not divisor-generated, where the wrap constant
+        # matters, and a closure under two shifts at once
+        rng = random.Random(43)
+        for lam in UNITS:
+            for s, l in ((2, 1), (2, 2), (3, 2), (4, 2)):
+                n = s * l
+                seeds = [tuple(rng.choice(ELEMENTS) for _ in range(n))]
+                maps = [gray_shift(n, lam, l, twist=True), gray_shift(n)]
+                ops = [_nabla(lam, l), cyclic_shift]
+                for k in (1, 2):
+                    got = GrayModule.closure(seeds, maps[:k], n)
+                    oracle = _ring_closure(seeds, ops[:k], n)
+                    assert got.basis.tobytes() == oracle.basis.tobytes()

@@ -7,7 +7,10 @@ reciprocal of (modulus / g), and dual-containment reduces to a single
 divisibility test.
 """
 
-from ternring import ModulusSign, TernaryPolyCode, divisors_of_modulus, factor, modulus, parse_poly
+from ternring import (
+    ModulusSign, TernaryPolyCode, divisors_of_modulus, factor, gf3linalg, modulus,
+    parse_poly,
+)
 
 PLUS, MINUS = ModulusSign.PLUS, ModulusSign.MINUS
 
@@ -36,8 +39,8 @@ c = TernaryPolyCode(8, PLUS, parse_poly("x^2+1"))
 print(f"[8, {c.k}] code: the 3^{c.dual().k} dual words are enumerated and "
       f"MacWilliams gives A = {list(c.weight_distribution())}")
 print(f"distance -> {c.min_distance()}; oracles: enumerate -> "
-      f"{c.min_distance(method='enumerate')}, low-weight search -> "
-      f"{c.min_distance(method='search')}")
+      f"{gf3linalg.min_weight(c.generator_matrix())}, low-weight search -> "
+      f"{c._low_weight_search()}")
 
 print("\n== why x^8-1 admits no dual-containing proper quadratic ==")
 c8 = TernaryPolyCode(8, PLUS, parse_poly("x^2+1"))

@@ -4,8 +4,11 @@ Everything here treats matrices as collections of row vectors with
 entries reduced mod 3.  These helpers back the code constructions:
 row reduction for ranks and canonical bases, null spaces for duals,
 row-space membership for containment oracles, a chunked exhaustive
-weight-distribution enumerator (minimum weight is read off it), and the
-MacWilliams transform to the dual's distribution.
+weight-distribution enumerator, and the MacWilliams transform to the
+dual's distribution.  ``min_weight`` reads the first nonzero weight of
+a direct enumeration: it gives Gray-module distances, and the tests'
+oracle for cyclic-code distances.  Every enumeration draws its
+coefficient vectors from one int8 grid.
 """
 
 from __future__ import annotations
@@ -123,10 +126,9 @@ def mat_mul(a, b) -> np.ndarray:
 
 
 def _coefficient_grid(k: int) -> np.ndarray:
-    """All 3^k coefficient vectors as a (3^k, k) int8 array, the
-    all-zero vector first."""
-    powers = 3 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    return ((np.arange(3**k, dtype=np.int64)[:, None] // powers) % 3).astype(np.int8)
+    """All 3^k coefficient vectors as a (3^k, k) int8 array in
+    lexicographic order, the all-zero vector first."""
+    return np.indices((3,) * k, dtype=np.int8).reshape(k, 3**k).T
 
 
 def _span(basis: np.ndarray) -> np.ndarray:

@@ -251,9 +251,12 @@ def parse_poly(text: str) -> Z3Poly:
     if not s:
         raise ValueError("empty polynomial")
     coeffs: dict[int, int] = {}
-    for signed in s.replace("-", "+-").split("+"):
+    terms = s.replace("-", "+-").split("+")
+    if s.startswith("-"):
+        terms = terms[1:]  # the split's empty piece before a leading '-'
+    for signed in terms:
         if not signed:
-            continue
+            raise ValueError(f"empty term in {text!r}")
         sign = 1
         term = signed
         if term.startswith("-"):

@@ -25,6 +25,7 @@ from .errors import (
     NotRightDivisor,
     OddS,
 )
+from .gf3linalg import _coefficient_grid
 from .poly import ModulusSign, divisors_of_modulus, factor, modulus
 from .rcodes import GrayModule, as_rvector, cyclic_shift, gray_shift
 from .ring import (
@@ -249,8 +250,9 @@ def monic_right_divisors(n: int, lam) -> tuple[SkewPoly, ...]:
     divisor must project to a monic divisor of x^n - t where t is the
     first Gray coordinate of lam.  The other two Gray coordinates twist
     into each other and are sieved by a vectorized right division over
-    all coefficient combinations; every survivor is confirmed by an
-    actual skew right division."""
+    all 9^d tails of digit pairs, read as the int8 coefficient grid of
+    3^(2d) vectors; every survivor is confirmed by an actual skew right
+    division."""
     lam = _as_element(lam)
     if not lam.is_unit():
         raise NotAUnit(f"{lam} is not a unit")
@@ -259,14 +261,14 @@ def monic_right_divisors(n: int, lam) -> tuple[SkewPoly, ...]:
     base_divisors = divisors_of_modulus(n, sign1)
     m23 = np.array(
         [[m.coeff(i).gray[1], m.coeff(i).gray[2]] for i in range(n + 1)],
-        dtype=np.int64,
+        dtype=np.int8,
     )
     found = [SkewPoly([ONE])]
     for d in range(1, n + 1):
         firsts = [g for g in base_divisors if g.degree == d]
         if not firsts:
             continue
-        tails = _pair_tails(d)
+        tails = _coefficient_grid(2 * d).reshape(-1, d, 2)
         survivors = _pair_division_sieve(m23, tails, d)
         for g1 in firsts:
             for tail in survivors:
@@ -283,22 +285,15 @@ def monic_right_divisors(n: int, lam) -> tuple[SkewPoly, ...]:
     return tuple(found)
 
 
-def _pair_tails(d: int) -> np.ndarray:
-    """All 9^d coefficient tails over pairs of ternary digits, shape
-    (9^d, d, 2)."""
-    grid = np.array(
-        list(itertools.product(range(3), repeat=2 * d)), dtype=np.int64
-    )
-    return grid.reshape(-1, d, 2)
-
-
 def _pair_division_sieve(m23: np.ndarray, tails: np.ndarray, d: int) -> np.ndarray:
     """Batch right division in the twisted pair ring (componentwise
     products, components swapping when passing x): returns the tails
-    whose monic candidate leaves zero remainder against m23."""
+    whose monic candidate leaves zero remainder against m23.  Everything
+    stays int8: each step subtracts a product of two digits, so no
+    intermediate leaves -4..4."""
     n = m23.shape[0] - 1
     batch = tails.shape[0]
-    lead = np.ones((batch, 1, 2), dtype=np.int64)
+    lead = np.ones((batch, 1, 2), dtype=np.int8)
     divisors = np.concatenate([tails, lead], axis=1)  # (B, d+1, 2)
     swapped = divisors[:, :, ::-1]
     rem = np.tile(m23, (batch, 1, 1))

@@ -6,10 +6,11 @@ dual generator equal to the monic reciprocal of (modulus / g), and a
 divisibility-based membership test.  The weight distribution is exact:
 the smaller of the code and its dual (dimension at most 14) is fully
 enumerated, and the dual side is carried over by the MacWilliams
-transform.  Minimum Hamming distance is read off it, and an exhaustive
-low-weight support search covers codes whose dimension and codimension
-both exceed 14.  Direct enumeration and the search remain available as
-oracles.
+transform.  Minimum Hamming distance is read off it; only codes whose
+dimension and codimension both exceed 14 fall to an exhaustive
+low-weight support search instead.  The support search and
+``gf3linalg.min_weight`` on the generator matrix serve the tests as
+independent oracles.
 """
 
 from __future__ import annotations
@@ -92,11 +93,8 @@ class TernaryPolyCode:
         return rows
 
     def codewords(self) -> np.ndarray:
-        """All 3^k codewords (for small k)."""
-        if self.k == 0:
-            return np.zeros((1, self.n), dtype=np.int8)
-        grid = gf3linalg._coefficient_grid(self.k).astype(np.int64)
-        return ((grid @ self.generator_matrix().astype(np.int64)) % 3).astype(np.int8)
+        """All 3^k codewords (for small k), the zero word first."""
+        return gf3linalg._span(self.generator_matrix())
 
     # -- operations ----------------------------------------------------
 
@@ -143,29 +141,16 @@ class TernaryPolyCode:
             gf3linalg.weight_distribution(dual.generator_matrix()), dual.k
         )
 
-    def min_distance(self, method: str = "auto") -> int:
-        """Exact minimum Hamming weight of a nonzero codeword.
-
-        ``auto`` reads it off the weight distribution whenever
-        min(k, n - k) allows enumeration, and runs the support search
-        otherwise; ``enumerate`` (direct, k <= 14) and ``search`` force
-        one engine and serve as oracles."""
+    def min_distance(self) -> int:
+        """Exact minimum Hamming weight of a nonzero codeword: the first
+        nonzero weight of weight_distribution(), or the support search
+        when both k and n - k exceed the enumeration cap."""
         if self.k == 0:
             raise ZeroCode("the zero code has no nonzero codeword")
-        if method == "auto":
-            cap = gf3linalg.MAX_ENUMERATION_DIM
-            if self.k <= min(self.n - self.k, cap):
-                method = "enumerate"
-            elif self.n - self.k <= cap:
-                distribution = self.weight_distribution()
-                return next(w for w in range(1, self.n + 1) if distribution[w])
-            else:
-                method = "search"
-        if method == "enumerate":
-            return gf3linalg.min_weight(self.generator_matrix())
-        if method == "search":
+        if min(self.k, self.n - self.k) > gf3linalg.MAX_ENUMERATION_DIM:
             return self._low_weight_search()
-        raise ValueError(f"unknown method {method!r}")
+        distribution = self.weight_distribution()
+        return next(w for w in range(1, self.n + 1) if distribution[w])
 
     def _low_weight_search(self) -> int:
         """Smallest w such that some word of support size w is divisible

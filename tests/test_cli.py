@@ -309,6 +309,8 @@ class TestUsage:
              "--f1", "xx", "--f2", "1", "--f3", "1"),
             ("constacyclic", "transport", "--n", "3", "--lambda", "2",
              "--f1", "x+2", "--f2", "[1,a]", "--f3", "x+2"),
+            ("constacyclic", "transport", "--n", "3", "--lambda", "2",
+             "--f1", "x+2", "--f2", "x+", "--f3", "x+2"),
         ],
     )
     def test_malformed_text_exits_two_without_traceback(self, argv):

@@ -56,6 +56,19 @@ class TestWeightDistribution:
             gf3linalg.min_weight([[1, 0]])
 
 
+class TestCoefficientGrid:
+    def test_int8_rows_in_product_order(self):
+        # the one grid behind every span, codeword list and skew tail
+        for k in range(9):
+            grid = gf3linalg._coefficient_grid(k)
+            expected = np.array(
+                list(itertools.product(range(3), repeat=k)), dtype=np.int8
+            ).reshape(3**k, k)
+            assert grid.dtype == np.int8
+            assert grid.shape == (3**k, k)
+            assert np.array_equal(grid, expected), k
+
+
 class TestMacWilliams:
     def test_tetracode_is_self_dual(self):
         assert gf3linalg.macwilliams_transform([1, 0, 0, 8, 0], 2) == [1, 0, 0, 8, 0]

@@ -87,6 +87,10 @@ class TestTextForms:
     def test_parse_minus_signs(self):
         assert P("x^2-1") == P("x^2+2")
         assert P("x^3-x") == P("x^3+2x")
+        assert P("x-1").coeffs == (2, 1)
+        assert P("-x+1").coeffs == (1, 2)
+        assert P("x^2-x").coeffs == (0, 2, 1)
+        assert P("2x^3-2").coeffs == (1, 0, 0, 2)
 
     def test_parse_bracket_vector_is_ascending(self):
         assert P("[1,1,0,2,1]") == P("x^4+2x^3+x+1")
@@ -104,7 +108,7 @@ class TestTextForms:
         assert str(Z3Poly([0, 2])) == "2x"
 
     def test_parse_rejects_garbage(self):
-        for bad in ["", "y+1", "x^", "x**2", "1..2"]:
+        for bad in ["", "y+1", "x^", "x**2", "1..2", "x+", "+x", "x++1", "x+-1", "-", "x-"]:
             with pytest.raises(ValueError):
                 P(bad)
 

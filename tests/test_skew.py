@@ -5,6 +5,7 @@ left divisors."""
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,8 +203,24 @@ class TestRightDivisors:
 
     def test_divisor_counts(self):
         assert len(monic_right_divisors(3, 1)) == 4
-        assert len(monic_right_divisors(4, 1)) == 42
-        assert len(monic_right_divisors(4, E("2"))) == 10
+        expected = {
+            4: [42, 10, 10, 2, 2, 26, 2, 2],
+            5: [4] * 8,
+            6: [132, 16, 132, 4, 4, 16, 8, 8],
+        }
+        for s, counts in expected.items():
+            assert [len(monic_right_divisors(s, lam)) for lam in UNITS] == counts, s
+
+    def test_sieve_memory_at_s6(self):
+        # the 9^6 tails are int8 grid rows and the sieve stays in int8,
+        # which keeps the peak of numpy allocations under 64 MB
+        tracemalloc.start()
+        try:
+            monic_right_divisors(6, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
     def test_all_listed_divide(self):
         for lam in (ONE, E("2+2v^2")):

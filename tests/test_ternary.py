@@ -157,9 +157,9 @@ class TestMinDistance:
             code(5, PLUS, "x^5+2").min_distance()
 
     def test_engines_agree(self):
-        # all 242 divisor codes with n <= 12, both signs: the default
-        # engine (distribution of the smaller side) against direct
-        # enumeration and the support search
+        # all 242 divisor codes with n <= 12, both signs: min_distance
+        # (distribution of the smaller side) against the two oracles,
+        # direct enumeration of the code and the support search
         seen = 0
         for n in range(1, 13):
             for sign in (PLUS, MINUS):
@@ -167,13 +167,14 @@ class TestMinDistance:
                     c = TernaryPolyCode(n, sign, g)
                     seen += 1
                     if c.k == 0:
-                        for method in ("auto", "enumerate", "search"):
-                            with pytest.raises(ZeroCode):
-                                c.min_distance(method)
+                        with pytest.raises(ZeroCode):
+                            c.min_distance()
+                        with pytest.raises(ValueError):
+                            gf3linalg.min_weight(c.generator_matrix())
                         continue
                     d = c.min_distance()
-                    assert d == c.min_distance("enumerate"), (n, sign, g)
-                    assert d == c.min_distance("search"), (n, sign, g)
+                    assert d == gf3linalg.min_weight(c.generator_matrix()), (n, sign, g)
+                    assert d == c._low_weight_search(), (n, sign, g)
         assert seen == 242
 
     def test_distance_matches_exhaustive_weight(self):
@@ -187,13 +188,44 @@ class TestMinDistance:
         # and must match the support search
         c = code(18, PLUS, "x^2+x+1")
         assert c.k == 16
-        assert c.min_distance() == c.min_distance("search") == 2
+        assert c.min_distance() == c._low_weight_search() == 2
         with pytest.raises(ValueError):
-            c.min_distance("enumerate")
+            gf3linalg.min_weight(c.generator_matrix())
+
+    def test_support_search_beyond_both_caps(self, monkeypatch):
+        # with the cap lowered to 2, every divisor code n <= 10 whose k
+        # and n - k both exceed it takes the support search, and still
+        # matches direct enumeration
+        monkeypatch.setattr(gf3linalg, "MAX_ENUMERATION_DIM", 2)
+        searched = []
+        real = TernaryPolyCode._low_weight_search
+
+        def spy(self):
+            searched.append(self)
+            return real(self)
+
+        monkeypatch.setattr(TernaryPolyCode, "_low_weight_search", spy)
+        for n in range(1, 11):
+            for sign in (PLUS, MINUS):
+                for g in divisors_of_modulus(n, sign):
+                    c = TernaryPolyCode(n, sign, g)
+                    if c.k == 0:
+                        continue
+                    before = len(searched)
+                    d = c.min_distance()
+                    beyond = min(c.k, n - c.k) > 2
+                    assert len(searched) - before == beyond, (n, sign, g)
+                    weights = np.count_nonzero(c.codewords(), axis=1)
+                    assert d == int(weights[weights > 0].min()), (n, sign, g)
+        assert searched
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
+        # one entry point: the former engines are oracles reached
+        # directly, not through a method argument
+        with pytest.raises(TypeError):
             code(6, PLUS, "x^2+2").min_distance("guess")
+        with pytest.raises(TypeError):
+            code(6, PLUS, "x^2+2").min_distance(method="enumerate")
 
     def test_instance_collectable_after_distance(self):
         c = code(10, MINUS, "x^4+x^3+2x+1")

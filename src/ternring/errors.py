@@ -72,6 +72,12 @@ class SelfCheckFailed(TernringError):
     strips)."""
 
 
+class BudgetExceeded(TernringError):
+    """The exponential work the request needs is above the fixed budget,
+    so it is refused before it starts instead of hanging or running out
+    of memory."""
+
+
 class NotDualContaining(TernringError):
     """The code does not contain its dual; CSS construction impossible.
 

@@ -28,6 +28,7 @@ from .errors import (
     SelfCheckFailed,
     ZeroPolynomial,
 )
+from .ring import _check_exponent
 
 __all__ = [
     "Z3Poly",
@@ -270,7 +271,7 @@ def parse_poly(text: str) -> Z3Poly:
         if m.group(2) is None:
             power = 0
         else:
-            power = int(m.group(3)) if m.group(3) else 1
+            power = _check_exponent(int(m.group(3))) if m.group(3) else 1
         coeffs[power] = coeffs.get(power, 0) + sign * coef
     deg = max(coeffs, default=-1)
     return Z3Poly(coeffs.get(i, 0) for i in range(deg + 1))
@@ -339,6 +340,31 @@ class Factorization:
         out = Z3Poly([self.unit])
         for p, e in self.factors:
             out = out * p ** e
+        return out
+
+    def divisors(self) -> tuple[Z3Poly, ...]:
+        """All monic divisors, canonically sorted."""
+        out = []
+        ranges = [range(e + 1) for _, e in self.factors]
+        for exps in itertools.product(*ranges):
+            d = Z3Poly([1])
+            for (p, _), e in zip(self.factors, exps):
+                d = d * p ** e
+            out.append(d)
+        out.sort()
+        return tuple(out)
+
+    def divisor_degrees(self, max_degree: int) -> set[int]:
+        """Degrees up to max_degree that some monic divisor has, found
+        without listing the divisors."""
+        out = {0}
+        for p, e in self.factors:
+            out = {
+                d + k * p.degree
+                for d in out
+                for k in range(e + 1)
+                if d + k * p.degree <= max_degree
+            }
         return out
 
     def divisor_count(self) -> int:
@@ -470,13 +496,4 @@ def monic_irreducibles(max_degree: int) -> tuple[Z3Poly, ...]:
 
 def divisors_of_modulus(n: int, sign: ModulusSign) -> tuple[Z3Poly, ...]:
     """All monic divisors of x^n -+ 1, canonically sorted."""
-    fact = factor(modulus(n, sign))
-    out = []
-    ranges = [range(e + 1) for _, e in fact.factors]
-    for exps in itertools.product(*ranges):
-        d = Z3Poly([1])
-        for (p, _), e in zip(fact.factors, exps):
-            d = d * p ** e
-        out.append(d)
-    out.sort()
-    return tuple(out)
+    return factor(modulus(n, sign)).divisors()

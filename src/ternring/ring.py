@@ -319,6 +319,18 @@ def format_ring_poly(coeffs) -> str:
     return "+".join(terms) if terms else "0"
 
 
+# Largest exponent the polynomial parsers accept: they build a dense
+# coefficient tuple up to the highest exponent, so a bound on it is a
+# bound on their memory.
+MAX_PARSED_EXPONENT = 10**5
+
+
+def _check_exponent(power: int) -> int:
+    if power > MAX_PARSED_EXPONENT:
+        raise ValueError(f"exponent {power} is above {MAX_PARSED_EXPONENT}")
+    return power
+
+
 _RPOLY_TERM = re.compile(
     r"^(?:\(([^()]+)\)|((?:[2]?v(?:\^2)?)|[012]))?(x(?:\^(\d+))?)?$"
 )
@@ -364,7 +376,7 @@ def parse_ring_poly(text: str) -> tuple[RingElement, ...]:
         if m.group(3) is None:
             power = 0
         else:
-            power = 1 if m.group(4) is None else int(m.group(4))
+            power = 1 if m.group(4) is None else _check_exponent(int(m.group(4)))
         coeffs[power] = coeffs.get(power, ZERO) + coef
     deg = max((p for p, r in coeffs.items() if r), default=-1)
     return tuple(coeffs.get(i, ZERO) for i in range(deg + 1))

@@ -18,15 +18,17 @@ import itertools
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     EvenLength,
     LengthMismatch,
     NonUnitLeadingCoefficient,
     NotAUnit,
     NotRightDivisor,
     OddS,
+    SelfCheckFailed,
 )
 from .gf3linalg import _coefficient_grid
-from .poly import ModulusSign, divisors_of_modulus, factor, modulus
+from .poly import ModulusSign, factor, modulus
 from .rcodes import GrayModule, as_rvector, cyclic_shift, gray_shift
 from .ring import (
     ELEMENTS,
@@ -61,6 +63,11 @@ __all__ = [
     "SkewQCModule",
     "one_generator_sqc",
 ]
+
+
+# Largest tail grid the right-divisor sieve builds: 9^6 rows, the
+# degree-6 sieve that n = 12 and n = 13 need.
+MAX_SIEVE_TAILS = 9**6
 
 
 def _as_element(value) -> RingElement:
@@ -245,29 +252,46 @@ def is_right_divisor(f: SkewPoly, n: int, lam) -> bool:
 def monic_right_divisors(n: int, lam) -> tuple[SkewPoly, ...]:
     """All monic right divisors of x^n - lam, in canonical order.
 
-    The first Gray coordinate is fixed by the automorphism, so taking it
-    coefficientwise is a homomorphism onto ternary polynomials; a right
-    divisor must project to a monic divisor of x^n - t where t is the
-    first Gray coordinate of lam.  The other two Gray coordinates twist
-    into each other and are sieved by a vectorized right division over
-    all 9^d tails of digit pairs, read as the int8 coefficient grid of
-    3^(2d) vectors; every survivor is confirmed by an actual skew right
-    division."""
+    Only degrees d <= n/2 are sieved.  The first Gray coordinate is
+    fixed by the automorphism, so taking it coefficientwise is a
+    homomorphism onto ternary polynomials; a right divisor must project
+    to a monic divisor of x^n - t where t is the first Gray coordinate
+    of lam.  The other two Gray coordinates twist into each other and
+    are sieved by a vectorized right division over all 9^d tails of
+    digit pairs, read as the int8 coefficient grid of 3^(2d) vectors;
+    every survivor is confirmed by an actual skew right division, which
+    also gives its cofactor q in x^n - lam = q*g.
+
+    The divisors of degree above n/2 are the mirrored cofactors: the
+    anti-automorphism of ``_mirror`` fixes x^n - lam and turns q*g into
+    mirror(g)*mirror(q), so mirror(q) is a monic right divisor of degree
+    n - d, and g -> mirror(q) is an involution between the degrees d and
+    n - d.  Each mirrored divisor is confirmed by right division too.
+
+    Raises ``BudgetExceeded`` when a tail grid would have more than
+    ``MAX_SIEVE_TAILS`` rows (every n <= 13 fits).  The sieve degrees
+    are read off the ternary factorization, so the refusal comes before
+    any divisor is listed or any grid is built."""
     lam = _as_element(lam)
     if not lam.is_unit():
         raise NotAUnit(f"{lam} is not a unit")
     m = power_minus_constant(n, lam)
     sign1 = ModulusSign.PLUS if lam.gray[0] == 1 else ModulusSign.MINUS
-    base_divisors = divisors_of_modulus(n, sign1)
+    fact = factor(modulus(n, sign1))
+    degrees = sorted(fact.divisor_degrees(n // 2) - {0})
+    if degrees and 9 ** degrees[-1] > MAX_SIEVE_TAILS:
+        raise BudgetExceeded(
+            f"right divisors of x^{n}-({lam}) need a sieve over "
+            f"9^{degrees[-1]} tails, above the budget of {MAX_SIEVE_TAILS}"
+        )
+    base_divisors = fact.divisors()
     m23 = np.array(
         [[m.coeff(i).gray[1], m.coeff(i).gray[2]] for i in range(n + 1)],
         dtype=np.int8,
     )
-    found = [SkewPoly([ONE])]
-    for d in range(1, n + 1):
+    low = [SkewPoly([ONE])]
+    for d in degrees:
         firsts = [g for g in base_divisors if g.degree == d]
-        if not firsts:
-            continue
         tails = _coefficient_grid(2 * d).reshape(-1, d, 2)
         survivors = _pair_division_sieve(m23, tails, d)
         for g1 in firsts:
@@ -277,12 +301,29 @@ def monic_right_divisors(n: int, lam) -> tuple[SkewPoly, ...]:
                     for i in range(d)
                 ]
                 coeffs.append(ONE)
-                cand = SkewPoly(coeffs)
-                _, r = skew_right_divmod(m, cand)
-                if not r:
-                    found.append(cand)
+                low.append(SkewPoly(coeffs))
+    found = []
+    for g in low:
+        q, r = skew_right_divmod(m, g)
+        if r:
+            continue
+        found.append(g)
+        if 2 * g.degree < n:
+            h = _mirror(q)
+            if skew_right_divmod(m, h)[1]:
+                raise SelfCheckFailed(
+                    f"mirrored cofactor {h} of {g} does not right-divide "
+                    f"x^{n}-({lam})"
+                )
+            found.append(h)
     found.sort(key=SkewPoly.sort_key)
     return tuple(found)
+
+
+def _mirror(p: SkewPoly) -> SkewPoly:
+    """The anti-automorphism sum a_i x^i -> sum x^i a_i, that is
+    sum theta^i(a_i) x^i: it reverses products and fixes x^n - lam."""
+    return SkewPoly([c.theta() if i % 2 else c for i, c in enumerate(p.coeffs)])
 
 
 def _pair_division_sieve(m23: np.ndarray, tails: np.ndarray, d: int) -> np.ndarray:

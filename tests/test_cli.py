@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -311,6 +312,9 @@ class TestUsage:
              "--f1", "x+2", "--f2", "[1,a]", "--f3", "x+2"),
             ("constacyclic", "transport", "--n", "3", "--lambda", "2",
              "--f1", "x+2", "--f2", "x+", "--f3", "x+2"),
+            ("skew", "code", "--n", "3", "--f", "x^2000000000"),
+            ("code", "build", "--n", "4", "--sign", "pos",
+             "--f1", "x^2000000000", "--f2", "1", "--f3", "1"),
         ],
     )
     def test_malformed_text_exits_two_without_traceback(self, argv):
@@ -319,6 +323,14 @@ class TestUsage:
         assert "error: argument" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_sieve_budget_exits_one_without_traceback(self):
+        start = time.perf_counter()
+        proc = run_module("--json", "skew", "divisors", "--s", "16", "--lambda", "1")
+        assert time.perf_counter() - start < 30
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"] == "BudgetExceeded"
+        assert "Traceback" not in proc.stderr
 
     def test_zero_limit_is_allowed(self):
         code, doc, _ = run_json("quantum", "scan", "--n", "4", "--sign", "pos", "--limit", "0")

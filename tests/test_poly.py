@@ -112,6 +112,12 @@ class TestTextForms:
             with pytest.raises(ValueError):
                 P(bad)
 
+    def test_parse_bounds_exponents(self):
+        assert P("x^100000").degree == 100000
+        for bad in ["x^100001", "x^2000000000", "1+x^2000000000"]:
+            with pytest.raises(ValueError, match="exponent"):
+                P(bad)
+
 
 class TestArithmetic:
     def test_char_three(self):
@@ -382,3 +388,12 @@ class TestDivisorsOfModulus:
                 assert list(divs) == sorted(divs)
                 assert all(d.divides(m) for d in divs)
                 assert all(d.is_monic or d == Z3Poly([1]) for d in divs)
+
+    def test_divisor_degrees_without_listing(self):
+        for n in range(1, 31):
+            for sign in ModulusSign:
+                fact = factor(modulus(n, sign))
+                listed = {d.degree for d in divisors_of_modulus(n, sign)}
+                assert fact.divisor_degrees(n) == listed
+                cap = n // 2
+                assert fact.divisor_degrees(cap) == {d for d in listed if d <= cap}

@@ -367,6 +367,12 @@ class TestRingPolyText:
     def test_parse_zero(self):
         assert parse_ring_poly("0") == ()
 
+    def test_parse_bounds_exponents(self):
+        assert len(parse_ring_poly("vx^100000")) == 100001
+        for bad in ["x^100001", "x^2000000000", "(1+v)x^2000000000+1"]:
+            with pytest.raises(ValueError, match="exponent"):
+                parse_ring_poly(bad)
+
 
 class TestRingElementType:
     def test_immutable(self):

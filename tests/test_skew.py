@@ -5,19 +5,22 @@ left divisors."""
 
 import itertools
 import random
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ternring import gf3linalg
+from ternring import gf3linalg, skew
 from ternring.errors import (
+    BudgetExceeded,
     EvenLength,
     LengthMismatch,
     NonUnitLeadingCoefficient,
     NotAUnit,
     NotRightDivisor,
     OddS,
+    SelfCheckFailed,
 )
 from ternring.poly import ModulusSign, divisors_of_modulus
 from ternring.rcodes import (
@@ -61,7 +64,7 @@ from ternring.skew import (
     skew_right_divmod,
     vector_to_polys,
 )
-from ternring.skew import _monic_right_divisors_brute
+from ternring.skew import _mirror, _monic_right_divisors_brute
 
 P = parse_skew_poly
 E = parse_element
@@ -197,9 +200,9 @@ class TestRightDivisors:
         assert [str(d) for d in monic_right_divisors(2, E("2"))] == ["1", "x^2+1"]
 
     def test_scan_matches_brute_force(self):
-        for lam in UNITS:
-            assert monic_right_divisors(2, lam) == _monic_right_divisors_brute(2, lam)
-        assert monic_right_divisors(3, 1) == _monic_right_divisors_brute(3, 1)
+        for s in (2, 3):
+            for lam in UNITS:
+                assert monic_right_divisors(s, lam) == _monic_right_divisors_brute(s, lam)
 
     def test_divisor_counts(self):
         assert len(monic_right_divisors(3, 1)) == 4
@@ -221,6 +224,70 @@ class TestRightDivisors:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+
+    def test_divisor_counts_above_degree_six(self):
+        # s = 7 lists are the full sieve's; s = 8 was checked for every
+        # unit against the full sieve run on chunks of the tail grid
+        assert [len(monic_right_divisors(7, lam)) for lam in UNITS] == [4] * 8
+        assert [len(monic_right_divisors(8, lam)) for lam in UNITS] == [
+            1226, 122, 426, 10, 10, 186, 26, 26,
+        ]
+
+    def test_mirrored_cofactors_pair_the_degrees(self):
+        # mirror(q) for x^s - lam = q*g is an involution on the list
+        # that swaps the degrees d and s - d
+        for s in range(1, 9):
+            for lam in UNITS:
+                m = power_minus_constant(s, lam)
+                divs = monic_right_divisors(s, lam)
+                degrees = [g.degree for g in divs]
+                for d in range(s + 1):
+                    assert degrees.count(d) == degrees.count(s - d)
+                partner = {}
+                for g in divs:
+                    q, r = skew_right_divmod(m, g)
+                    assert not r
+                    partner[g] = _mirror(q)
+                assert sorted(partner.values(), key=SkewPoly.sort_key) == list(divs)
+                for g, h in partner.items():
+                    assert h.degree == s - g.degree
+                    assert partner[h] == g
+
+    def test_mirror_reverses_products(self):
+        for _ in range(200):
+            f, g = random_skew(RNG, 4), random_skew(RNG, 4)
+            assert _mirror(f * g) == _mirror(g) * _mirror(f)
+            assert _mirror(_mirror(f)) == f
+
+    def test_sieve_memory_at_s10(self):
+        # only degrees up to 5 are sieved: 9^5 tails, not 9^10
+        tracemalloc.start()
+        try:
+            monic_right_divisors(10, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_sieve_budget(self):
+        # s = 14 and 16 need a degree-7 or degree-8 sieve; s = 17 only
+        # needs degree 1, since x^17 - 1 = (x - 1) * (irreducible of
+        # degree 16) over the ternary field.  x^80 - 1 has 2^23 ternary
+        # divisors, which are not listed before the refusal.
+        for s in (14, 16, 80):
+            start = time.perf_counter()
+            with pytest.raises(BudgetExceeded):
+                monic_right_divisors(s, 1)
+            assert time.perf_counter() - start < 5
+        assert len(monic_right_divisors(17, 1)) == 4
+        # s = 12 sieves exactly 9^6 tails, the largest grid admitted
+        assert len(monic_right_divisors(12, UNITS[3])) == 20
+
+    def test_mirrored_divisor_is_confirmed(self, monkeypatch):
+        # the cofactor without the twist is no right divisor here
+        monkeypatch.setattr(skew, "_mirror", lambda p: p)
+        with pytest.raises(SelfCheckFailed):
+            monic_right_divisors(3, UNITS[3])
 
     def test_all_listed_divide(self):
         for lam in (ONE, E("2+2v^2")):

@@ -428,12 +428,9 @@ def count_skew_cyclic(n: int) -> int:
 
 def skew_count_formula(n: int) -> int:
     """prod (multiplicity + 1)^3 over the distinct irreducible factors
-    of x^n - 1 (the formula value on the canonical factorization)."""
-    fac = factor(modulus(n, ModulusSign.PLUS))
-    out = 1
-    for _, mult in fac.factors:
-        out *= (mult + 1) ** 3
-    return out
+    of x^n - 1 (the formula value on the canonical factorization): the
+    cube of the number of its monic divisors."""
+    return factor(modulus(n, ModulusSign.PLUS)).divisor_count() ** 3
 
 
 def odd_equivalence_check(code: SkewCyclicCode) -> bool:

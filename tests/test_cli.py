@@ -332,6 +332,12 @@ class TestUsage:
         assert json.loads(proc.stdout)["error"] == "BudgetExceeded"
         assert "Traceback" not in proc.stderr
 
+    def test_factor_budget_exits_one_without_traceback(self):
+        proc = run_module("--json", "factor", "--n", "100003", "--sign", "pos")
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"] == "BudgetExceeded"
+        assert "Traceback" not in proc.stderr
+
     def test_zero_limit_is_allowed(self):
         code, doc, _ = run_json("quantum", "scan", "--n", "4", "--sign", "pos", "--limit", "0")
         assert code == 0

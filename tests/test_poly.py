@@ -1,8 +1,11 @@
 """Unit tests for GF(3) polynomial arithmetic and factorization."""
 
 import random
+import time
+import tracemalloc
 
 import pytest
+import sympy
 
 from ternring import (
     Factorization,
@@ -11,12 +14,15 @@ from ternring import (
     divisors_of_modulus,
     factor,
     gcd,
+    gf3linalg,
     modulus,
     monic_irreducibles,
     parse_poly,
+    poly,
 )
 from ternring.errors import (
     BothZero,
+    BudgetExceeded,
     ConstantPolynomial,
     DivisionByZeroPoly,
     SelfCheckFailed,
@@ -314,6 +320,76 @@ class TestFactor:
         fz = factor(P("x^6+2"))
         assert fz == Factorization(1, ((P("x+1"), 3), (P("x+2"), 3)))
         assert fz.divisor_count() == 16
+
+
+def sympy_factorization(f):
+    """The canonical Factorization read off sympy's factor_list over GF(3)."""
+    x = sympy.Symbol("x")
+    unit, parts = sympy.Poly(list(reversed(f.coeffs)), x, modulus=3).factor_list()
+    factors = sorted(
+        (Z3Poly(int(c) for c in reversed(p.all_coeffs())), e) for p, e in parts
+    )
+    return Factorization(int(unit) % 3, tuple(factors))
+
+
+class TestBerlekamp:
+    def test_moduli_match_sympy(self):
+        for n in [*range(1, 81), 106, 200]:
+            for sign in ModulusSign:
+                f = modulus(n, sign)
+                assert factor(f) == sympy_factorization(f), (n, sign)
+
+    def test_random_polynomials_match_sympy(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            f = random_poly(rng, 30)
+            if f.degree >= 1:
+                assert factor(f) == sympy_factorization(f), f
+
+    def test_large_modulus_is_fast(self):
+        # two factors of degree 52: distinct- and equal-degree splitting
+        # takes 13 s or more here, Berlekamp milliseconds
+        start = time.perf_counter()
+        fz = factor(P("x^106+1"))
+        assert time.perf_counter() - start < 2
+        assert [p.degree for p, _ in fz.factors] == [2, 52, 52]
+
+    def test_frobenius_rows(self):
+        w = P("x^5+2x+1")
+        rows = poly._frobenius_rows(w)
+        for i, row in enumerate(rows):
+            assert Z3Poly(row.tolist()) == Z3Poly.monomial(3 * i) % w
+
+    def test_lost_kernel_row_is_caught(self, monkeypatch):
+        # x^3 - x = x(x+1)(x+2) has the kernel 1, x, x^2.  Without the
+        # constant row the kernel claims two factors, but x alone
+        # separates all three.
+        full = gf3linalg.null_space
+        monkeypatch.setattr(gf3linalg, "null_space", lambda m: full(m)[1:])
+        with pytest.raises(SelfCheckFailed):
+            factor(P("x^3+2x"))
+
+    def test_budget_bounds_the_squarefree_part(self, monkeypatch):
+        monkeypatch.setattr(poly, "MAX_BERLEKAMP_DEGREE", 10)
+        assert len(factor(P("x^10+1")).factors) == 3
+        # x^30 - 1 = (x^10 - 1)^3: only the squarefree part is split
+        assert len(factor(modulus(30, ModulusSign.PLUS)).factors) == 4
+        with pytest.raises(BudgetExceeded):
+            factor(P("x^11+1"))
+
+    def test_budget_refuses_before_building_the_matrix(self):
+        # degree 2003 would need a 2003 x 2003 matrix; 100003 about 10 GB
+        for n in (2003, 100003):
+            tracemalloc.start()
+            start = time.perf_counter()
+            try:
+                with pytest.raises(BudgetExceeded):
+                    factor(modulus(n, ModulusSign.PLUS))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert time.perf_counter() - start < 5
+            assert peak < 16e6
 
 
 class TestIrreducibleSieve:

@@ -215,8 +215,9 @@ class TestRightDivisors:
             assert [len(monic_right_divisors(s, lam)) for lam in UNITS] == counts, s
 
     def test_sieve_memory_at_s6(self):
-        # the 9^6 tails are int8 grid rows and the sieve stays in int8,
-        # which keeps the peak of numpy allocations under 64 MB
+        # s = 6 sieves the 9^3 tails of degree 3 and mirrors the rest;
+        # the tails are int8 grid rows and the sieve stays in int8, which
+        # keeps the peak of numpy allocations under 64 MB
         tracemalloc.start()
         try:
             monic_right_divisors(6, 1)

@@ -7,8 +7,11 @@ row-space membership for containment oracles, a chunked exhaustive
 weight-distribution enumerator, and the MacWilliams transform to the
 dual's distribution.  ``min_weight`` reads the first nonzero weight of
 a direct enumeration: it gives Gray-module distances, and the tests'
-oracle for cyclic-code distances.  Every enumeration draws its
-coefficient vectors from one int8 grid.
+oracle for cyclic-code distances.  The weight-distribution kernel
+holds words bit-sliced (Boothby-Bradshaw 2009): two uint64 masks per
+word, of the coordinates equal to 1 and of those equal to 2, so a
+weight is a popcount.  Codeword lists and the skew sieve's tails come
+from one int8 coefficient grid.
 """
 
 from __future__ import annotations
@@ -138,12 +141,62 @@ def _span(basis: np.ndarray) -> np.ndarray:
     return ((grid @ basis.astype(np.int64)) % 3).astype(np.int8)
 
 
+_PLANE_VALUES = np.array([1, 2], dtype=np.int8).reshape(2, 1, 1)
+
+
+def _bitsliced_rows(basis: np.ndarray) -> np.ndarray:
+    """The rows of a (k, n) GF(3) matrix as a (2, k, ceil(n/64)) uint64
+    array: bit j of row i in plane 0 is set where entry (i, j) is 1, in
+    plane 1 where it is 2."""
+    k, n = basis.shape
+    packed = np.zeros((2, k, 8 * -(-n // 64)), dtype=np.uint8)
+    packed[..., : -(-n // 8)] = np.packbits(
+        basis == _PLANE_VALUES, axis=-1, bitorder="little"
+    )
+    return packed.view(np.uint64)
+
+
+def _bitsliced_span(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All 3^k combinations of k bit-sliced rows (a (2, k, limbs) array,
+    as from ``_bitsliced_rows``) as two (3^k, limbs) uint64 arrays, the
+    ones and twos masks, the zero word first; the last row's coefficient
+    varies slowest.  Each row triples the words built so far: the block
+    itself, the block plus the row, and the block plus twice the row."""
+    _, k, limbs = rows.shape
+    ones = np.zeros((3**k, limbs), dtype=np.uint64)
+    twos = np.zeros_like(ones)
+    size = 1
+    for i in range(k):
+        # b = (the row, twice the row) as ones and as twos masks; 2 = -1,
+        # so doubling swaps the planes.  With t = (a1 | b2) ^ (a2 | b1),
+        # a + b has ones (a2 | b2) ^ t and twos (a1 | b1) ^ t.
+        b1 = rows[:, i, None]
+        b2 = rows[::-1, i, None]
+        a1, a2 = ones[:size], twos[:size]
+        t = (a1 | b2) ^ (a2 | b1)
+        np.bitwise_xor(a2 | b2, t, out=ones[size : 3 * size].reshape(2, size, limbs))
+        np.bitwise_xor(a1 | b1, t, out=twos[size : 3 * size].reshape(2, size, limbs))
+        size *= 3
+    return ones, twos
+
+
+def _weights(words: np.ndarray) -> np.ndarray:
+    """Set bits in each row of a (count, limbs) uint64 array."""
+    bits = np.bitwise_count(words)
+    # limb by limb: a sum over the short axis is several times slower
+    weights = bits[:, 0]
+    for limb in range(1, bits.shape[1]):
+        weights = np.add(weights, bits[:, limb], dtype=np.intp)
+    return weights
+
+
 def weight_distribution(generator) -> list[int]:
     """Exact weight distribution [A_0, ..., A_n] of the row space, by
     chunked full enumeration (the generator may contain dependent rows;
     the span is what is enumerated).  At most 3^9 words are held at once:
     a suffix block over the last nine basis rows, shifted by each prefix
-    combination of the others."""
+    combination of the others.  Words are bit-sliced, so a weight is a
+    popcount."""
     basis = row_basis(generator)
     k, n = basis.shape
     if k > MAX_ENUMERATION_DIM:
@@ -151,14 +204,21 @@ def weight_distribution(generator) -> list[int]:
             f"enumeration of 3^{k} codewords exceeds the 3^{MAX_ENUMERATION_DIM} limit"
         )
     k_low = min(k, 9)
-    suffixes = _span(basis[k - k_low :])
-    counts = np.bincount(np.count_nonzero(suffixes, axis=1), minlength=n + 1)
+    rows = _bitsliced_rows(basis)
+    ones, twos = _bitsliced_span(rows[:, k - k_low :])
+    counts = np.bincount(_weights(ones | twos), minlength=n + 1)
     # A coordinate of suffix + prefix vanishes exactly where the suffix
-    # equals -prefix, so each block is one comparison, not a sum mod 3.
-    for negated in (-_span(basis[: k - k_low])[1:]) % 3:
-        zeros = (suffixes == negated).sum(axis=1, dtype=np.int64)
-        counts += np.bincount(n - zeros, minlength=n + 1)
-    return [int(c) for c in counts]
+    # equals -prefix, whose masks are the prefix's swapped: the weight
+    # counts the bits where the suffix differs from them.  The buffers
+    # are reused, since a fresh block per prefix costs page faults.
+    differ, scratch = np.empty_like(ones), np.empty_like(ones)
+    prefix_ones, prefix_twos = _bitsliced_span(rows[:, : k - k_low])
+    for p1, p2 in zip(prefix_ones[1:], prefix_twos[1:]):
+        np.bitwise_xor(ones, p2, out=differ)
+        np.bitwise_xor(twos, p1, out=scratch)
+        np.bitwise_or(differ, scratch, out=differ)
+        counts += np.bincount(_weights(differ), minlength=n + 1)
+    return counts.tolist()
 
 
 def min_weight(generator) -> int:

@@ -342,14 +342,15 @@ class Factorization:
         return out
 
     def divisors(self) -> tuple[Z3Poly, ...]:
-        """All monic divisors, canonically sorted."""
-        out = []
-        ranges = [range(e + 1) for _, e in self.factors]
-        for exps in itertools.product(*ranges):
-            d = Z3Poly([1])
-            for (p, _), e in zip(self.factors, exps):
-                d = d * p ** e
-            out.append(d)
+        """All monic divisors, canonically sorted.  Each factor p^e
+        extends the list by p, p^2, ..., p^e times the divisors so far,
+        one product per new divisor."""
+        out = [Z3Poly([1])]
+        for p, e in self.factors:
+            layer = out
+            for _ in range(e):
+                layer = [d * p for d in layer]
+                out = out + layer
         out.sort()
         return tuple(out)
 

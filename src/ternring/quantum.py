@@ -13,8 +13,9 @@ constructions.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NotDualContaining
 from .poly import ModulusSign, Z3Poly, divisors_of_modulus, parse_poly
@@ -79,28 +80,58 @@ def scan_dual_containing(
     is the least distance over the nonzero components (the Lee distance
     of the ring code).
     """
-    table = []
-    for g in divisors_of_modulus(n, sign):
-        code = TernaryPolyCode(n, sign, g)
-        if code.contains_dual():
-            table.append((g, code.k, code.min_distance() if code.k else None, str(g)))
-    rows = []
-    for (g1, k1, d1, s1), (g2, k2, d2, s2), (g3, k3, d3, s3) in (
-        itertools.combinations_with_replacement(table, 3)
-    ):
-        K = 2 * (k1 + k2 + k3) - 3 * n
-        d = min(d for d in (d1, d2, d3) if d is not None)
-        rows.append((-K, -d, (s1, s2, s3), g1, g2, g3))
-    rows.sort(key=operator.itemgetter(0, 1, 2))
-    # Few distinct (K, d) occur, and QuantumParams is immutable, so rows
-    # with equal parameters share one instance.
-    params = {
-        (neg_K, neg_d): QuantumParams(3 * n, -neg_K, -neg_d)
-        for neg_K, neg_d in {row[:2] for row in rows}
-    }
-    return [
-        (g1, g2, g3, params[neg_K, neg_d]) for neg_K, neg_d, _, g1, g2, g3 in rows
+    table = [
+        code
+        for code in (TernaryPolyCode(n, sign, g) for g in divisors_of_modulus(n, sign))
+        if code.contains_dual()
     ]
+    gens = [code.g for code in table]
+    # The zero code never contains its dual (the full space), so every
+    # listed component has a distance.  The sort's index arrays are freed
+    # before the rows are built, which keeps the peak memory down.
+    first, second, third, runs = _sorted_triples(
+        n,
+        [code.k for code in table],
+        [code.min_distance() for code in table],
+        [str(g) for g in gens],
+    )
+    # Few distinct (K, d) occur, and QuantumParams is immutable, so each
+    # run of equal parameters shares one instance.
+    params = itertools.chain.from_iterable(
+        itertools.repeat(QuantumParams(3 * n, K, d), count) for K, d, count in runs
+    )
+    pick = gens.__getitem__
+    return list(zip(map(pick, first), map(pick, second), map(pick, third), params))
+
+
+def _sorted_triples(
+    n: int, ks: list[int], ds: list[int], names: list[str]
+) -> tuple[list[int], list[int], list[int], list[tuple[int, int, int]]]:
+    """Every unordered triple i <= j <= l of table indices, ordered by
+    K = 2(k_i + k_j + k_l) - 3n descending, then min(d_i, d_j, d_l)
+    descending, then (names[i], names[j], names[l]).  Returns the three
+    index columns as lists and the (K, d, count) runs of the order."""
+    m = len(ks)
+    k = np.array(ks, dtype=np.intp)
+    d = np.array(ds, dtype=np.intp)
+    # Names are distinct, so their ranks order the triples as the names do.
+    rank = np.empty(m, dtype=np.intp)
+    rank[sorted(range(m), key=names.__getitem__)] = np.arange(m)
+    triples = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(m), 3)),
+        dtype=np.intp,
+    ).reshape(-1, 3)
+    K = 2 * k[triples].sum(axis=1) - 3 * n
+    dist = d[triples].min(axis=1)
+    r = rank[triples]
+    order = np.lexsort((r[:, 2], r[:, 1], r[:, 0], -dist, -K))
+    triples, K, dist = triples[order], K[order], dist[order]
+    new_run = np.ones(len(K), dtype=bool)
+    new_run[1:] = (K[1:] != K[:-1]) | (dist[1:] != dist[:-1])
+    starts = np.flatnonzero(new_run)
+    counts = np.diff(starts, append=len(K))
+    runs = list(zip(K[starts].tolist(), dist[starts].tolist(), counts.tolist()))
+    return (*(column.tolist() for column in triples.T), runs)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ dimension k = n - deg g, generator matrix rows x^i * g for i < k,
 dual generator equal to the monic reciprocal of (modulus / g), and a
 divisibility-based membership test.  The weight distribution is exact:
 the smaller of the code and its dual (dimension at most 14) is fully
-enumerated, and the dual side is carried over by the MacWilliams
-transform.  Minimum Hamming distance is read off it; only codes whose
-dimension and codimension both exceed 14 fall to an exhaustive
-low-weight support search instead.  The support search and
+enumerated by ``gf3linalg.weight_distribution`` on bit-sliced words,
+whose weights are popcounts, and the dual side is carried over by the
+MacWilliams transform.  Minimum Hamming distance is read off it; only
+codes whose dimension and codimension both exceed 14 fall to an
+exhaustive low-weight support search instead.  The support search and
 ``gf3linalg.min_weight`` on the generator matrix serve the tests as
 independent oracles.
 """

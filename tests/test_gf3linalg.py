@@ -18,10 +18,14 @@ def brute_distribution(generator):
     divided by the multiplicity 3^(rows - rank) of each word."""
     gen = np.array(generator, dtype=np.int64)
     rows, n = gen.shape
-    coeffs = np.array(list(itertools.product(range(3), repeat=rows)), dtype=np.int64)
-    weights = np.count_nonzero((coeffs @ gen) % 3, axis=1)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    combos = itertools.product(range(3), repeat=rows)
+    while chunk := list(itertools.islice(combos, 4096)):
+        coeffs = np.array(chunk, dtype=np.int64).reshape(len(chunk), rows)
+        weights = np.count_nonzero((coeffs @ gen) % 3, axis=1)
+        counts += np.bincount(weights, minlength=n + 1)
     repeat = 3 ** (rows - gf3linalg.rank(gen))
-    return [int(c) // repeat for c in np.bincount(weights, minlength=n + 1)]
+    return [int(c) // repeat for c in counts]
 
 
 class TestWeightDistribution:
@@ -31,6 +35,24 @@ class TestWeightDistribution:
         gen = rng.integers(0, 3, size=(10, 13))
         assert gf3linalg.rank(gen) == 10
         assert gf3linalg.weight_distribution(gen) == brute_distribution(gen)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 130])
+    def test_across_word_boundaries(self, n):
+        # words of one, two and three 64-bit limbs, the last one partly
+        # used; k > 9 runs the prefix loop
+        rng = np.random.default_rng(n)
+        for k in range(min(n, 11) + 1):
+            gen = rng.integers(0, 3, size=(k, n))
+            assert gf3linalg.weight_distribution(gen) == brute_distribution(gen), (n, k)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 130])
+    def test_dependent_and_zero_rows_across_word_boundaries(self, n):
+        rng = np.random.default_rng(100 + n)
+        base = rng.integers(0, 3, size=(min(n, 10), n))
+        mix = rng.integers(0, 3, size=(3, base.shape[0]))
+        gen = np.vstack([base, (mix @ base) % 3, np.zeros((1, n), dtype=np.int64)])
+        assert gf3linalg.weight_distribution(gen) == brute_distribution(base)
+        assert gf3linalg.weight_distribution(np.zeros((2, n))) == [1] + [0] * n
 
     def test_dependent_rows_count_the_span(self):
         gen = TETRACODE + [[1, 1, 2, 0]]
@@ -58,7 +80,8 @@ class TestWeightDistribution:
 
 class TestCoefficientGrid:
     def test_int8_rows_in_product_order(self):
-        # the one grid behind every span, codeword list and skew tail
+        # the one int8 grid behind codeword lists and skew tails (the
+        # weight-distribution kernel builds bit-sliced spans instead)
         for k in range(9):
             grid = gf3linalg._coefficient_grid(k)
             expected = np.array(
@@ -67,6 +90,25 @@ class TestCoefficientGrid:
             assert grid.dtype == np.int8
             assert grid.shape == (3**k, k)
             assert np.array_equal(grid, expected), k
+
+
+class TestBitslicedSpan:
+    @pytest.mark.parametrize("n", [1, 5, 64, 70])
+    def test_unpacks_to_the_int8_span(self, n):
+        # the bit-sliced span lists the words of the int8 span of the
+        # reversed rows, in the same order
+        rng = np.random.default_rng(n)
+        for k in range(5):
+            basis = rng.integers(0, 3, size=(k, n)).astype(np.int8)
+            ones, twos = gf3linalg._bitsliced_span(gf3linalg._bitsliced_rows(basis))
+            ones_bits, twos_bits = (
+                np.unpackbits(plane.view(np.uint8), axis=1, bitorder="little")
+                for plane in (ones, twos)
+            )
+            words = (ones_bits[:, :n] + 2 * twos_bits[:, :n]).astype(np.int8)
+            assert np.array_equal(words, gf3linalg._span(basis[::-1])), (n, k)
+            # padding bits past n stay clear
+            assert not ones_bits[:, n:].any() and not twos_bits[:, n:].any(), (n, k)
 
 
 class TestMacWilliams:

@@ -1,5 +1,6 @@
 """Unit tests for GF(3) polynomial arithmetic and factorization."""
 
+import itertools
 import random
 import time
 import tracemalloc
@@ -464,6 +465,20 @@ class TestDivisorsOfModulus:
                 assert list(divs) == sorted(divs)
                 assert all(d.divides(m) for d in divs)
                 assert all(d.is_monic or d == Z3Poly([1]) for d in divs)
+
+    def test_matches_product_oracle(self):
+        # every exponent vector of the factorization, multiplied out
+        # from scratch, then sorted
+        for n in range(1, 31):
+            for sign in ModulusSign:
+                fact = factor(modulus(n, sign))
+                expected = []
+                for exps in itertools.product(*(range(e + 1) for _, e in fact.factors)):
+                    d = Z3Poly([1])
+                    for (p, _), e in zip(fact.factors, exps):
+                        d = d * p**e
+                    expected.append(d)
+                assert fact.divisors() == tuple(sorted(expected)), (n, sign)
 
     def test_divisor_degrees_without_listing(self):
         for n in range(1, 31):

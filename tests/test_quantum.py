@@ -43,6 +43,31 @@ def scan_by_triple(n, sign):
     return rows
 
 
+def scan_by_string_sort(n, sign):
+    """Sort oracle for the scan: the same (g, k, d) table and triples,
+    ordered by K descending, d descending, then the tuple of generator
+    strings."""
+    from itertools import combinations_with_replacement
+
+    from ternring.poly import divisors_of_modulus
+
+    table = []
+    for g in divisors_of_modulus(n, sign):
+        comp = TernaryPolyCode(n, sign, g)
+        if comp.contains_dual():
+            table.append((g, comp.k, comp.min_distance()))
+    rows = []
+    for triple in combinations_with_replacement(table, 3):
+        K = 2 * sum(k for _, k, _ in triple) - 3 * n
+        d = min(d for _, _, d in triple)
+        rows.append((-K, -d, tuple(str(g) for g, _, _ in triple), triple))
+    rows.sort(key=lambda row: row[:3])
+    return [
+        (*(g for g, _, _ in triple), QuantumParams(3 * n, -neg_K, -neg_d))
+        for neg_K, neg_d, _, triple in rows
+    ]
+
+
 class TestQuantumParams:
     def test_formatting(self):
         p = QuantumParams(18, 6, 2)
@@ -153,6 +178,17 @@ class TestScan:
                 assert scan_dual_containing(n, sign) == scan_by_triple(n, sign), (
                     n, sign,
                 )
+
+    @pytest.mark.parametrize(
+        "n,sign",
+        [(n, sign) for n in range(13, 17) for sign in (PLUS, MINUS)] + [(24, PLUS)],
+    )
+    def test_order_matches_string_sort(self, n, sign):
+        rows = scan_dual_containing(n, sign)
+        assert rows == scan_by_string_sort(n, sign)
+        # one QuantumParams instance per distinct (K, d)
+        params = [row[3] for row in rows]
+        assert len({id(p) for p in params}) == len(set(params))
 
     def test_scan_misses_nothing(self):
         # brute cross-check at n = 4: every divisor triple that passes

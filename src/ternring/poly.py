@@ -292,15 +292,6 @@ class ModulusSign(Enum):
     PLUS = "plus"    # x^n - 1, cyclic
     MINUS = "minus"  # x^n + 1, negacyclic
 
-    @classmethod
-    def parse(cls, text: str) -> "ModulusSign":
-        t = text.strip().lower()
-        if t in ("plus", "pos", "+", "cyclic"):
-            return cls.PLUS
-        if t in ("minus", "neg", "-", "negacyclic"):
-            return cls.MINUS
-        raise ValueError(f"unknown modulus sign: {text!r}")
-
     @property
     def wrap(self) -> int:
         """Scalar picked up on wrap-around: +1 or -1 (as 1 or 2 mod 3)."""
@@ -432,21 +423,27 @@ def _berlekamp_split(w: Z3Poly) -> list[Z3Poly]:
     return factors
 
 
-def _distinct_irreducible_factors(f: Z3Poly) -> set[Z3Poly]:
-    """The set of monic irreducible divisors of a monic nonconstant f."""
+def _irreducible_factors(f: Z3Poly) -> dict[Z3Poly, int]:
+    """The monic irreducible divisors of a monic f, each with its
+    multiplicity."""
     if f.degree == 0:
-        return set()
+        return {}
     deriv = f.derivative()
     if not deriv:
-        return _distinct_irreducible_factors(_cube_root(f))
-    w = f // gcd(f, deriv)
-    found = set(_berlekamp_split(w))
+        return {p: 3 * e for p, e in _irreducible_factors(_cube_root(f)).items()}
+    # f / gcd(f, f') is the product of the factors whose multiplicity 3
+    # does not divide; each is divided out of f completely, which leaves
+    # a cube of the other factors
+    found = {}
     rest = f
-    for p in found:
-        while p.divides(rest):
-            rest = rest // p
-    if rest.degree > 0:
-        found |= _distinct_irreducible_factors(rest)
+    for p in _berlekamp_split(f // gcd(f, deriv)):
+        e = 0
+        q, r = rest.divmod(p)
+        while not r:
+            rest, e = q, e + 1
+            q, r = rest.divmod(p)
+        found[p] = e
+    found.update(_irreducible_factors(rest))
     return found
 
 
@@ -456,16 +453,8 @@ def factor(f: Z3Poly) -> Factorization:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if f.degree == 0:
         raise ConstantPolynomial("cannot factor a constant")
-    unit = f.leading
-    m = f.monic()
-    parts = []
-    for p in sorted(_distinct_irreducible_factors(m)):
-        e, rest = 0, m
-        while p.divides(rest):
-            rest = rest // p
-            e += 1
-        parts.append((p, e))
-    result = Factorization(unit, tuple(parts))
+    parts = sorted(_irreducible_factors(f.monic()).items())
+    result = Factorization(f.leading, tuple(parts))
     if result.expand() != f:
         raise SelfCheckFailed(f"factorization {result} does not multiply back to {f}")
     return result

@@ -22,14 +22,14 @@ from .errors import (
     EvenLength,
     LengthMismatch,
     NonUnitLeadingCoefficient,
-    NotAUnit,
     NotRightDivisor,
     OddS,
     SelfCheckFailed,
+    ZeroPolynomial,
 )
 from .gf3linalg import _coefficient_grid
 from .poly import ModulusSign, factor, modulus
-from .rcodes import GrayModule, as_rvector, cyclic_shift, gray_shift
+from .rcodes import GrayModule, _require_unit, as_rvector, cyclic_shift, gray_shift
 from .ring import (
     ELEMENTS,
     IDEMPOTENTS,
@@ -272,9 +272,7 @@ def monic_right_divisors(n: int, lam) -> tuple[SkewPoly, ...]:
     ``MAX_SIEVE_TAILS`` rows (every n <= 13 fits).  The sieve degrees
     are read off the ternary factorization, so the refusal comes before
     any divisor is listed or any grid is built."""
-    lam = _as_element(lam)
-    if not lam.is_unit():
-        raise NotAUnit(f"{lam} is not a unit")
+    lam = _require_unit(lam)
     m = power_minus_constant(n, lam)
     sign1 = ModulusSign.PLUS if lam.gray[0] == 1 else ModulusSign.MINUS
     fact = factor(modulus(n, sign1))
@@ -401,8 +399,9 @@ class SkewCyclicCode:
 def skew_cyclic_code(f: SkewPoly, n: int) -> SkewCyclicCode:
     """Module generated by a monic right divisor of x^n - 1; spanned by
     f, xf, ..., x^{n-deg f-1}f and closed under the twisted shift."""
-    if not isinstance(f, SkewPoly):
-        f = SkewPoly(f)
+    f = SkewPoly(f)
+    if not f:
+        raise ZeroPolynomial("generator must be nonzero")
     f = f.monic()
     if not is_right_divisor(f, n, ONE):
         raise NotRightDivisor(f"{f} does not right-divide x^{n}+2")
@@ -455,7 +454,7 @@ def vector_to_polys(vec, s: int, l: int) -> tuple[SkewPoly, ...]:
 
 def polys_to_vector(polys, s: int, l: int):
     """Inverse of vector_to_polys; each polynomial must have degree < s."""
-    polys = [p if isinstance(p, SkewPoly) else SkewPoly(p) for p in polys]
+    polys = [SkewPoly(p) for p in polys]
     if len(polys) != l:
         raise LengthMismatch(f"expected {l} polynomials, got {len(polys)}")
     if any(p.degree >= s for p in polys):
@@ -505,13 +504,11 @@ def hermitian_inner_product(a, b, s: int, lam) -> SkewPoly:
     every twisted sectioned shift."""
     if s % 2:
         raise OddS("the Hermitian pairing needs an even number of blocks")
-    a = [p if isinstance(p, SkewPoly) else SkewPoly(p) for p in a]
-    b = [p if isinstance(p, SkewPoly) else SkewPoly(p) for p in b]
+    a = [SkewPoly(p) for p in a]
+    b = [SkewPoly(p) for p in b]
     if len(a) != len(b):
         raise LengthMismatch("vectors must have equal length")
-    lam = _as_element(lam)
-    if not lam.is_unit():
-        raise NotAUnit(f"{lam} is not a unit")
+    lam = _require_unit(lam)
     acc = SkewPoly()
     for pa, pb in zip(a, b):
         acc = acc + pa * hermitian_conjugate(_reduce(pb, s, lam), s, lam)
@@ -533,7 +530,7 @@ def gcld(polys, s: int, lam) -> SkewPoly:
     the right-division Euclidean chain: it right-divides every input,
     and every common right divisor with unit leading coefficient
     right-divides it."""
-    polys = [p if isinstance(p, SkewPoly) else SkewPoly(p) for p in polys]
+    polys = [SkewPoly(p) for p in polys]
     g = power_minus_constant(s, lam)
     for p in polys:
         if p:
@@ -605,13 +602,10 @@ def one_generator_sqc(polys, s: int, l: int, lam) -> SkewQCModule:
     of x^s - lam."""
     if s % 2:
         raise OddS("sectioned modules need an even number of blocks")
-    lam = _as_element(lam)
-    if not lam.is_unit():
-        raise NotAUnit(f"{lam} is not a unit")
+    lam = _require_unit(lam)
     fs = []
     for p in polys:
-        p = p if isinstance(p, SkewPoly) else SkewPoly(p)
-        p = _reduce(p, s, lam)
+        p = _reduce(SkewPoly(p), s, lam)
         if p:
             p = p.monic()
             if not is_right_divisor(p, s, lam):

@@ -2,6 +2,7 @@
 codes, JSON payloads, and byte-level determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 
 import ternring
 from ternring.cli import SELFTEST_EXPECTED_FLAGS, main
+from ternring.quantum import verify_reference_table
 
 
 def run_cli(*argv):
@@ -38,6 +40,150 @@ def run_module(*argv, python_flags=()):
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+# Literal text renderings of every leaf command (the README list plus
+# ``code gray``); the JSON tests below pin payloads, these pin the lines.
+GENS_6 = ("--n", "6", "--sign", "pos", "--f1", "x^2+2", "--f2", "x^2+2",
+          "--f3", "2x^2+1")
+TEXT_GOLDENS = {
+    ("factor", "--n", "10", "--sign", "neg"): [
+        "x^10+1 = (x^2+1)(x^4+x^3+2x+1)(x^4+2x^3+x+1)",
+    ],
+    ("code", "build", "--n", "3", "--sign", "neg",
+     "--f1", "x+1", "--f2", "x^2+2x+1", "--f3", "x+1"): [
+        "n=3 kind=negacyclic lam=2",
+        "f = (x+1, x^2+2x+1, x+1)",
+        "k = (2, 1, 2)  |C| = 3^5  d_lee = 2",
+    ],
+    ("code", "dual", "--n", "10", "--sign", "neg",
+     "--f1", "x^2+1", "--f2", "x^4+x^3+2x+1", "--f3", "x^4+2x^3+x+1"): [
+        "n=10 kind=negacyclic lam=2",
+        "f = (x^8+2x^6+x^4+2x^2+1, x^6+x^5+x^4+x^2+2x+1, x^6+2x^5+x^4+x^2+x+1)",
+        "k = (2, 4, 4)  |C| = 3^10  d_lee = 5",
+        "combined generator = (1+2v^2)x^8+(2+2v^2)x^6+vx^5+x^4+(2+2v^2)x^2+2vx+1",
+    ],
+    ("code", "gray", *GENS_6): [
+        "201000000000000000",
+        "020100000000000000",
+        "002010000000000000",
+        "000201000000000000",
+        "000000201000000000",
+        "000000020100000000",
+        "000000002010000000",
+        "000000000201000000",
+        "000000000000201000",
+        "000000000000020100",
+        "000000000000002010",
+        "000000000000000201",
+    ],
+    ("code", "distance", *GENS_6): [
+        "d_lee = 2 components = [2, 2, 2]",
+    ],
+    ("code", "check-dc", "--n", "8", "--sign", "pos",
+     "--f1", "x^2+1", "--f2", "x^2+1", "--f3", "x^2+1"): [
+        "NOT dual-containing; failing components: 1, 2, 3",
+    ],
+    ("constacyclic", "classify", "--lambda", "1+v^2"): [
+        "lam=1+v^2: cyclic, negacyclic, negacyclic",
+    ],
+    ("constacyclic", "transport", "--n", "3", "--lambda", "2",
+     "--f1", "x+2", "--f2", "x+2", "--f3", "x+2"): [
+        "source:",
+        "  n=3 kind=cyclic lam=1",
+        "  f = (x+2, x+2, x+2)",
+        "  k = (2, 2, 2)  |C| = 3^6  d_lee = 2",
+        "target (lam=2):",
+        "  n=3 kind=constacyclic lam=2",
+        "  f = (x+1, x+1, x+1)",
+        "  k = (2, 2, 2)  |C| = 3^6  d_lee = 2",
+    ],
+    ("skew", "count", "--n", "3"): [
+        "count(3) = 64",
+    ],
+    ("skew", "divisors", "--s", "2", "--lambda", "1"): [
+        "6 monic right divisors:",
+        "1",
+        "x+1",
+        "x+2",
+        "x+1+v^2",
+        "x+2+2v^2",
+        "x^2+2",
+    ],
+    ("skew", "gcld", "--s", "2", "--lambda", "1", "x+1", "x^2+2"): [
+        "gcld = x+1",
+    ],
+    ("skew", "code", "--n", "12", "--f", "x^3+x^2+x+1"): [
+        "f = x^3+x^2+x+1  rank = 9  gray dimension = 27",
+    ],
+    ("quantum", "params", *GENS_6): [
+        "[[18,6,2]]  f = (x^2+2, x^2+2, x^2+2)",
+    ],
+    ("quantum", "scan", "--n", "4", "--sign", "neg"): [
+        "[[12,12,1]]  f = (1, 1, 1)",
+        "[[12,8,1]]  f = (1, 1, x^2+2x+2)",
+        "[[12,8,1]]  f = (1, 1, x^2+x+2)",
+        "[[12,4,1]]  f = (1, x^2+2x+2, x^2+2x+2)",
+        "[[12,4,1]]  f = (1, x^2+x+2, x^2+2x+2)",
+        "[[12,4,1]]  f = (1, x^2+x+2, x^2+x+2)",
+        "[[12,0,3]]  f = (x^2+2x+2, x^2+2x+2, x^2+2x+2)",
+        "[[12,0,3]]  f = (x^2+x+2, x^2+2x+2, x^2+2x+2)",
+        "[[12,0,3]]  f = (x^2+x+2, x^2+x+2, x^2+2x+2)",
+        "[[12,0,3]]  f = (x^2+x+2, x^2+x+2, x^2+x+2)",
+    ],
+    ("quantum", "verify-paper"): [
+        "ok   [[18,6,2]]               [[18,6,2]]",
+        "ok   [[36,18,2]]              [[36,18,2]]",
+        "ok   [[81,45,2]]              [[81,45,2]]",
+        "ok   [[90,66,2]]              [[90,66,2]]",
+        "ok   [[9,3,2]]                [[9,3,2]]",
+        "ok   [[30,6,4]]               [[30,6,4]]",
+        "ok   [[36,24,2]]              [[36,24,2]]",
+        "flag [[24,12,2]] (claimed)    components 1, 2, 3 do not contain "
+        "their dual: f * reciprocal(f) does not divide the modulus, so the "
+        "CSS construction does not apply",
+        "7 constructions reproduced, 1 flagged (expected)",
+    ],
+    ("selftest", "paper"): [
+        "ok   quantum [[18,6,2]]           [[18,6,2]]",
+        "ok   quantum [[36,18,2]]          [[36,18,2]]",
+        "ok   quantum [[81,45,2]]          [[81,45,2]]",
+        "ok   quantum [[90,66,2]]          [[90,66,2]]",
+        "ok   quantum [[9,3,2]]            [[9,3,2]]",
+        "ok   quantum [[30,6,4]]           [[30,6,4]]",
+        "ok   quantum [[36,24,2]]          [[36,24,2]]",
+        "flag quantum [[24,12,2]] (claimed) components 1, 2, 3 do not "
+        "contain their dual: f * reciprocal(f) does not divide the modulus, "
+        "so the CSS construction does not apply",
+        "ok   cardinality-length-3         |C| = 3^5",
+        "ok   cardinality-length-10        |C| = 3^20, dual generator "
+        "(1+2v^2)x^8+(2+2v^2)x^6+vx^5+x^4+(2+2v^2)x^2+2vx+1",
+        "ok   gray-isometry                0 failures in 200 trials",
+        "ok   cyclic-diagram               0 failures in 200 trials",
+        "ok   section-diagram              0 failures in 200 trials",
+        "ok   twisted-diagram              0 failures in 200 trials",
+        "ok   constacyclic-diagram         0 failures in 200 trials",
+        "flag factor-display-n6            canonical factorization of x^6-1 "
+        "is (x+1)^3 (x+2)^3; a published three-quadratic display does not "
+        "multiply back to x^6-1",
+        "flag skew-count-n12               the count formula needs odd "
+        "length and the canonical factorization; on n=12 it gives 262144 "
+        "(= 4^9), whereas a published count built on a coarser, "
+        "non-irreducible factorization gives 4^6",
+        "flag quantum-logical-exponent     logical dimension exponent "
+        "implemented as 2(k1+k2+k3)-3n, which reproduces every reference "
+        "row; a published formula weights the components 3:2:1",
+        "14 checks passed, 4 expected flags, 0 failures",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(TEXT_GOLDENS), ids=lambda a: " ".join(w for w in a[:2] if w[0] != "-")
+)
+def test_text_golden(argv):
+    stdout = "".join(f"{line}\n" for line in TEXT_GOLDENS[argv])
+    assert run_cli(*argv) == (0, stdout, "")
 
 
 class TestFactor:
@@ -235,6 +381,20 @@ class TestQuantum:
             (9, 3, 2), (30, 6, 4), (36, 24, 2),
         ]
 
+    def test_failing_row_outranks_flag(self, monkeypatch):
+        # the flagged n = 8 row comes last and must not hide a failure
+        def failing_first():
+            report = verify_reference_table()
+            return [dataclasses.replace(report[0], status="fail"), *report[1:]]
+
+        monkeypatch.setattr("ternring.cli.verify_reference_table", failing_first)
+        code, doc, _ = run_json("quantum", "verify-paper")
+        assert code == 1
+        assert doc["status"] == "error"
+        code, doc, _ = run_json("selftest", "paper")
+        assert code == 1
+        assert doc["status"] == "error"
+
 
 class TestSelftest:
     def test_clean_run(self):
@@ -323,6 +483,12 @@ class TestUsage:
         assert "error: argument" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_zero_skew_generator_exits_one_without_traceback(self):
+        proc = run_module("--json", "skew", "code", "--n", "3", "--f", "0")
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"] == "ZeroPolynomial"
+        assert "Traceback" not in proc.stderr
 
     def test_sieve_budget_exits_one_without_traceback(self):
         start = time.perf_counter()

@@ -265,6 +265,22 @@ class TestFactor:
                 assert p.is_monic
                 assert mult >= 1
 
+    def test_known_multiplicities(self):
+        # 2 * prod p_i^e_i over distinct irreducibles of degree <= 4; an
+        # exponent of 3, 6 or 9 sends its factor through the cube root
+        rng = random.Random(31)
+        pool = monic_irreducibles(4)
+        for _ in range(60):
+            parts = tuple(
+                (p, rng.randint(1, 10))
+                for p in sorted(rng.sample(pool, rng.randint(1, 4)))
+            )
+            f = Z3Poly([2])
+            for p, e in parts:
+                for _ in range(e):
+                    f = f * p
+            assert factor(f) == Factorization(2, parts)
+
     def test_factors_sorted_canonically(self):
         for poly_text in GOLDEN_FACTORIZATIONS:
             factors = [p for p, _ in factor(P(poly_text)).factors]
@@ -423,14 +439,6 @@ class TestModulus:
         assert modulus(3, ModulusSign.MINUS) == P("x^3+1")
         assert modulus(3, ModulusSign.PLUS) == P("x^3+2")
         assert modulus(1, ModulusSign.PLUS) == P("x+2")
-
-    def test_sign_parsing(self):
-        for text in ["plus", "+", "cyclic", "pos"]:
-            assert ModulusSign.parse(text) is ModulusSign.PLUS
-        for text in ["minus", "-", "negacyclic", "neg"]:
-            assert ModulusSign.parse(text) is ModulusSign.MINUS
-        with pytest.raises(ValueError):
-            ModulusSign.parse("pm")
 
     def test_wrap_constants(self):
         assert ModulusSign.PLUS.wrap == 1

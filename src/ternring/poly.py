@@ -32,7 +32,7 @@ from .errors import (
     SelfCheckFailed,
     ZeroPolynomial,
 )
-from .ring import _check_exponent
+from .ring import _check_exponent, format_ring_poly
 
 __all__ = [
     "Z3Poly",
@@ -223,19 +223,7 @@ class Z3Poly:
     # -- text ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                xpart = "x" if i == 1 else f"x^{i}"
-                terms.append(xpart if c == 1 else f"{c}{xpart}")
-        return "+".join(terms)
+        return format_ring_poly(self.coeffs)
 
     def __repr__(self) -> str:
         return f"Z3Poly({self})"

@@ -32,15 +32,7 @@ from .errors import (
     ZeroCode,
 )
 from .poly import ModulusSign, Z3Poly, gcd, modulus
-from .ring import (
-    ELEMENTS,
-    IDEMPOTENTS,
-    ONE,
-    RingElement,
-    ZERO,
-    from_gray,
-    scalar,
-)
+from .ring import ONE, RingElement, ZERO, from_gray, scalar
 from .ternary import TernaryPolyCode
 
 __all__ = [
@@ -110,6 +102,16 @@ def ungray_vector(arr) -> RVector:
         from_gray((int(arr[i]), int(arr[n + i]), int(arr[2 * n + i])))
         for i in range(n)
     )
+
+
+def _gray_projections(rows) -> np.ndarray:
+    """Gray images of e1*c, e2*c, e3*c for Gray rows of vectors c, shape
+    (..., 3n) to (..., 3, 3n): the Gray coordinates of e_b are the b-th
+    unit vector, so the image of e_b*c is that of c with the other two
+    blocks zeroed."""
+    rows = np.asarray(rows)
+    masks = np.repeat(np.eye(3, dtype=np.int8), rows.shape[-1] // 3, axis=1)
+    return masks * rows[..., None, :]
 
 
 def ring_inner_product(a, b) -> RingElement:
@@ -513,25 +515,18 @@ class GrayModule:
             if not vectors:
                 raise ValueError("need vectors or an explicit length")
             n = len(vectors[0])
-        rows = []
-        for v in vectors:
-            if len(v) != n:
-                raise LengthMismatch("generator lengths differ")
-            for e in IDEMPOTENTS:
-                rows.append(gray_vector(tuple(e * x for x in v)))
-        if not rows:
-            rows = np.zeros((0, 3 * n), dtype=np.int8)
-        return cls(rows, n)
+        if any(len(v) != n for v in vectors):
+            raise LengthMismatch("generator lengths differ")
+        return cls([_gray_projections(gray_vector(v)) for v in vectors], n)
 
-    @classmethod
-    def closure(cls, vectors, maps, n: int | None = None) -> "GrayModule":
-        """Smallest submodule containing the given ring vectors and
-        stable under each of the given Gray-space maps (which must send
-        submodules to submodules, as every gray_shift does)."""
-        current = cls.from_rvectors(vectors, n)
+    def closure(self, maps) -> "GrayModule":
+        """Smallest submodule containing this one and stable under each
+        of the given Gray-space maps (which must send submodules to
+        submodules, as every gray_shift does)."""
+        current = self
         while True:
             rows = np.vstack([current.basis] + [m(current.basis) for m in maps])
-            grown = cls(rows, current.n)
+            grown = GrayModule(rows, self.n)
             if grown.rank == current.rank:
                 return current
             current = grown

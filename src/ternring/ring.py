@@ -294,8 +294,9 @@ def parse_element(text: str) -> RingElement:
 #
 # Both the commutative polynomial ring R[x] (rcodes) and the twisted
 # one R[x, theta] (skew) print and parse the same way, so the routines
-# live here.  Coefficient sequences are ascending, like everywhere
-# else in the package.
+# live here; ternary polynomials (poly), whose coefficients 0, 1, 2
+# print like the ring's scalars, use the same printer.  Coefficient
+# sequences are ascending, like everywhere else in the package.
 
 
 def format_ring_poly(coeffs) -> str:

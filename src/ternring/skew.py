@@ -5,7 +5,8 @@ The skew ring twists multiplication by the order-2 automorphism:
 with unit leading coefficient is exact, which gives:
 
 * right divisors of x^n - lam and the left modules they generate,
-* skew cyclic / skew quasi-twisted codes as Gray-coordinate modules,
+* one-generator skew quasi-twisted modules as Gray-coordinate modules,
+  skew cyclic codes among them as the case l = 1, lam = 1,
 * a Hermitian pairing on the quotient module that detects Euclidean
   orthogonality under all twisted sectioned shifts at once,
 * greatest common divisors along right-division Euclidean chains.
@@ -29,10 +30,17 @@ from .errors import (
 )
 from .gf3linalg import _coefficient_grid
 from .poly import ModulusSign, factor, modulus
-from .rcodes import GrayModule, _require_unit, as_rvector, cyclic_shift, gray_shift
+from .rcodes import (
+    GrayModule,
+    _gray_projections,
+    _require_unit,
+    as_rvector,
+    cyclic_shift,
+    gray_shift,
+    gray_vector,
+)
 from .ring import (
     ELEMENTS,
-    IDEMPOTENTS,
     ONE,
     RingElement,
     ZERO,
@@ -45,7 +53,6 @@ from .ring import (
 __all__ = [
     "SkewPoly",
     "parse_skew_poly",
-    "skew_mul",
     "skew_right_divmod",
     "power_minus_constant",
     "is_right_divisor",
@@ -68,6 +75,10 @@ __all__ = [
 # Largest tail grid the right-divisor sieve builds: 9^6 rows, the
 # degree-6 sieve that n = 12 and n = 13 need.
 MAX_SIEVE_TAILS = 9**6
+
+# Longest vector length s*l of a module the builder closes: the closure
+# costs about cubically in it, some 1 s and 53 MB peak RSS at 200.
+MAX_MODULE_LENGTH = 200
 
 
 def _as_element(value) -> RingElement:
@@ -176,9 +187,6 @@ class SkewPoly:
             return SkewPoly([other * c for c in self.coeffs])
         return NotImplemented
 
-    def scale_left(self, c: RingElement) -> "SkewPoly":
-        return SkewPoly([_as_element(c) * a for a in self.coeffs])
-
     def map_theta(self) -> "SkewPoly":
         return SkewPoly([c.theta() for c in self.coeffs])
 
@@ -193,7 +201,7 @@ class SkewPoly:
             )
         if u is ONE:
             return self
-        return self.scale_left(u.inverse())
+        return u.inverse() * self
 
     @classmethod
     def x_power(cls, k: int, c=ONE) -> "SkewPoly":
@@ -202,10 +210,6 @@ class SkewPoly:
 
 def parse_skew_poly(text: str) -> SkewPoly:
     return SkewPoly(parse_ring_poly(text))
-
-
-def skew_mul(f: SkewPoly, g: SkewPoly) -> SkewPoly:
-    return f * g
 
 
 def power_minus_constant(n: int, lam) -> SkewPoly:
@@ -363,39 +367,6 @@ def _monic_right_divisors_brute(n: int, lam) -> tuple[SkewPoly, ...]:
 # -- skew cyclic codes ------------------------------------------------------
 
 
-class SkewCyclicCode:
-    """Left module of length-n vectors generated by a monic right
-    divisor of x^n - 1 under the twisted cyclic shift."""
-
-    __slots__ = ("n", "f", "module")
-
-    def __init__(self, n: int, f: SkewPoly, module: GrayModule):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "module", module)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewCyclicCode is immutable")
-
-    @property
-    def rank(self) -> int:
-        return self.n - self.f.degree
-
-    @property
-    def gray_dimension(self) -> int:
-        return self.module.rank
-
-    @property
-    def is_free_of_expected_rank(self) -> bool:
-        return self.gray_dimension == 3 * self.rank
-
-    def contains(self, vec) -> bool:
-        return self.module.contains(vec)
-
-    def __repr__(self):
-        return f"SkewCyclicCode(n={self.n}, f={self.f})"
-
-
 def skew_cyclic_code(f: SkewPoly, n: int) -> SkewCyclicCode:
     """Module generated by a monic right divisor of x^n - 1; spanned by
     f, xf, ..., x^{n-deg f-1}f and closed under the twisted shift."""
@@ -405,16 +376,8 @@ def skew_cyclic_code(f: SkewPoly, n: int) -> SkewCyclicCode:
     f = f.monic()
     if not is_right_divisor(f, n, ONE):
         raise NotRightDivisor(f"{f} does not right-divide x^{n}+2")
-    if f.degree == n:
-        mod = GrayModule(np.zeros((0, 3 * n), dtype=np.int8), n)
-        return SkewCyclicCode(n, f, mod)
-    seeds = []
-    g = f
-    for _ in range(n - f.degree):
-        seeds.append(tuple(g.coeff(i) for i in range(n)))
-        g = SkewPoly([ZERO, ONE]) * g  # multiply by x on the left
-    mod = GrayModule.closure(seeds, [gray_shift(n, twist=True)], n)
-    return SkewCyclicCode(n, f, mod)
+    # a right divisor of x^n - 1 is its own common divisor with it
+    return _skew_module(SkewCyclicCode, n, 1, ONE, (f,), f)
 
 
 def count_skew_cyclic(n: int) -> int:
@@ -557,7 +520,7 @@ class SkewQCModule:
         object.__setattr__(self, "module", module)
 
     def __setattr__(self, name, value):
-        raise AttributeError("SkewQCModule is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def n(self) -> int:
@@ -591,9 +554,25 @@ class SkewQCModule:
     def __repr__(self):
         gens = ", ".join(str(p) for p in self.generators)
         return (
-            f"SkewQCModule(s={self.s}, l={self.l}, lam={self.lam}, "
+            f"{type(self).__name__}(s={self.s}, l={self.l}, lam={self.lam}, "
             f"generators=({gens}))"
         )
+
+
+class SkewCyclicCode(SkewQCModule):
+    """The one-generator module with l = 1 and lam = 1: the skew cyclic
+    code of length n = s generated by a monic right divisor f of
+    x^n - 1."""
+
+    __slots__ = ()
+
+    @property
+    def f(self) -> SkewPoly:
+        return self.generators[0]
+
+    @property
+    def rank(self) -> int:
+        return self.expected_rank
 
 
 def one_generator_sqc(polys, s: int, l: int, lam) -> SkewQCModule:
@@ -614,18 +593,36 @@ def one_generator_sqc(polys, s: int, l: int, lam) -> SkewQCModule:
     fs = tuple(fs)
     if len(fs) != l:
         raise LengthMismatch(f"expected {l} polynomials, got {len(fs)}")
-    n = s * l
-    if not any(fs):
-        mod = GrayModule(np.zeros((0, 3 * n), dtype=np.int8), n)
-        return SkewQCModule(s, l, lam, fs, power_minus_constant(s, lam), mod)
-    seed = polys_to_vector(fs, s, l)
-    # left multiplication by x is the twisted sectioned shift whose wrap
-    # factor is theta(lam): the automorphism passes over the wrapped
-    # coefficient before the modulus relation x^s = lam applies
-    left_x = gray_shift(n, lam.theta(), l, twist=True)
-    mod = GrayModule.closure([seed], [left_x], n)
     try:
-        g = gcld([p for p in fs if p], s, lam)
+        g = gcld(fs, s, lam)
     except NonUnitLeadingCoefficient:
         g = None
-    return SkewQCModule(s, l, lam, fs, g, mod)
+    return _skew_module(SkewQCModule, s, l, lam, fs, g)
+
+
+def _skew_module(cls, s: int, l: int, lam, generators, common_divisor):
+    """Record cls of the module that the generators (each of degree below
+    s, or x^s - lam) generate under left multiplication.
+
+    Left multiplication by x is the twisted sectioned shift with wrap
+    factor theta(lam): the automorphism passes over the wrapped
+    coefficient before x^s = lam applies.  The closure starts from the
+    idempotent projections of x^i times the generator vector for each i
+    below the rank the common divisor predicts (s if its chain failed),
+    so a free module closes in one round; a rank of 0 uses no seed row.
+    Raises ``BudgetExceeded`` above ``MAX_MODULE_LENGTH``, before any
+    Gray row is built."""
+    n = s * l
+    if n > MAX_MODULE_LENGTH:
+        raise BudgetExceeded(
+            f"a module of length {n} is above the budget of {MAX_MODULE_LENGTH}"
+        )
+    left_x = gray_shift(n, lam.theta(), l, twist=True)
+    seed = [p.coeff(i) for i in range(s) for p in generators]
+    step = _gray_projections(gray_vector(seed))
+    rows = []
+    for _ in range(s if common_divisor is None else s - common_divisor.degree):
+        rows.append(step)
+        step = left_x(step)
+    module = GrayModule(rows, n).closure([left_x])
+    return cls(s, l, lam, generators, common_divisor, module)

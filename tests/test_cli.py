@@ -498,6 +498,14 @@ class TestUsage:
         assert json.loads(proc.stdout)["error"] == "BudgetExceeded"
         assert "Traceback" not in proc.stderr
 
+    def test_skew_module_budget_exits_one_without_traceback(self):
+        start = time.perf_counter()
+        proc = run_module("skew", "code", "--n", "100000", "--f", "x+2")
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 1
+        assert "BudgetExceeded" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_factor_budget_exits_one_without_traceback(self):
         proc = run_module("--json", "factor", "--n", "100003", "--sign", "pos")
         assert proc.returncode == 1

@@ -38,9 +38,8 @@ print("\n== weight distribution from the smaller side ==")
 c = TernaryPolyCode(8, PLUS, parse_poly("x^2+1"))
 print(f"[8, {c.k}] code: the 3^{c.dual().k} dual words are enumerated and "
       f"MacWilliams gives A = {list(c.weight_distribution())}")
-print(f"distance -> {c.min_distance()}; oracles: enumerate -> "
-      f"{gf3linalg.min_weight(c.generator_matrix())}, low-weight search -> "
-      f"{c._low_weight_search()}")
+print(f"distance: information-set search -> {c.min_distance()}; "
+      f"oracle: enumerate -> {gf3linalg.min_weight(c.generator_matrix())}")
 
 print("\n== why x^8-1 admits no dual-containing proper quadratic ==")
 c8 = TernaryPolyCode(8, PLUS, parse_poly("x^2+1"))

@@ -21,9 +21,11 @@ documented expected flags), 1 for domain errors, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +97,7 @@ class CommandResult:
     (nonempty exactly when the status is flag)."""
 
     payload: object
-    human: list[str]
+    human: Iterable[str]
     status: str = "ok"
     notes: list[str] = field(default_factory=list)
 
@@ -319,19 +321,21 @@ def cmd_quantum_params(args) -> CommandResult:
 
 def cmd_quantum_scan(args) -> CommandResult:
     rows = scan_dual_containing(args.n, _sign(args.sign))[: args.limit]
+    # a scan names a few hundred generators in up to millions of rows
+    name = functools.cache(str)
     payload = {
         "n": args.n,
         "sign": args.sign,
         "rows": [
-            {"f": [str(f) for f in (a, b, c)], "N": p.N, "K": p.K, "d": p.d}
+            {"f": [name(a), name(b), name(c)], "N": p.N, "K": p.K, "d": p.d}
             for a, b, c, p in rows
         ],
     }
-    lines = [
+    lines = (
         f"[[{r['N']},{r['K']},{r['d']}]]  f = ({', '.join(r['f'])})"
         for r in payload["rows"]
-    ]
-    return CommandResult(payload, lines or ["(no rows)"])
+    )
+    return CommandResult(payload, lines if rows else ["(no rows)"])
 
 
 def cmd_quantum_verify_paper(args) -> CommandResult:
@@ -613,7 +617,9 @@ def main(argv=None) -> int:
         lines, stream = result.human, sys.stdout
         code = 0 if result.status in ("ok", "flag") else 1
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        # json.dumps would hold every chunk of a large scan at once
+        sys.stdout.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc))
+        print()
     else:
         for line in lines:
             print(line, file=stream)

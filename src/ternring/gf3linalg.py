@@ -7,16 +7,19 @@ row-space membership for containment oracles, a chunked exhaustive
 weight-distribution enumerator, and the MacWilliams transform to the
 dual's distribution.  ``min_weight`` reads the first nonzero weight of
 a direct enumeration: it gives Gray-module distances, and the tests'
-oracle for cyclic-code distances.  The weight-distribution kernel
-holds words bit-sliced (Boothby-Bradshaw 2009): two uint64 masks per
-word, of the coordinates equal to 1 and of those equal to 2, so a
-weight is a popcount.  Codeword lists and the skew sieve's tails come
-from one int8 coefficient grid.
+oracle for cyclic-code distances.  ``min_combination_weight`` is the
+level kernel of the cyclic-code distance search: the least weight of
+the combinations of t rows.  Both kernels hold words bit-sliced
+(Boothby-Bradshaw 2009): two uint64 masks per word, of the coordinates
+equal to 1 and of those equal to 2, so a weight is a popcount.
+Codeword lists and the skew sieve's tails come from one int8
+coefficient grid.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from math import comb
 
 import numpy as np
@@ -34,6 +37,7 @@ __all__ = [
     "mat_mul",
     "weight_distribution",
     "min_weight",
+    "min_combination_weight",
     "macwilliams_transform",
     "MAX_ENUMERATION_DIM",
 ]
@@ -41,6 +45,10 @@ __all__ = [
 # Full codeword enumeration is used up to 3^14 words; beyond that the
 # callers must use a directed search.
 MAX_ENUMERATION_DIM = 14
+
+# Words min_combination_weight holds at once, as many as the suffix
+# block of weight_distribution.
+_BLOCK_WORDS = 3**9
 
 
 def as_gf3(data) -> np.ndarray:
@@ -231,6 +239,36 @@ def min_weight(generator) -> int:
         if distribution[w]:
             return w
     raise SelfCheckFailed("a nonzero row space enumerated no nonzero codeword")
+
+
+def min_combination_weight(matrix, t: int) -> int:
+    """Least Hamming weight of c_1 r_1 + ... + c_t r_t over every set of t
+    distinct rows of the matrix and every nonzero coefficient vector with
+    c_1 = 1 (doubling a word keeps its weight): C(k, t) 2^(t-1) words,
+    made bit-sliced, at most 3^9 at once.  Bit j - 2 of a pattern number
+    picks c_j = 2."""
+    rows = _bitsliced_rows(as_gf3(matrix))
+    k, limbs = rows.shape[1:]
+    # signed[c - 1] holds the rows times c as (ones, twos) planes
+    signed = np.stack([rows, rows[::-1]])
+    patterns = 1 << (t - 1)
+    step = min(patterns, _BLOCK_WORDS)
+    subsets = itertools.combinations(range(k), t)
+    minima = []
+    while chunk := list(itertools.islice(subsets, max(1, _BLOCK_WORDS // patterns))):
+        chosen = np.array(chunk, dtype=np.intp)
+        for start in range(0, patterns, step):
+            bits = (np.arange(start, start + step)[:, None] >> np.arange(t - 1)) & 1
+            ones, twos = rows[:, chosen[:, 0]]
+            for j in range(1, t):
+                # the same sum as in _bitsliced_span, over (patterns, subsets)
+                b = signed[bits[:, j - 1, None], :, chosen[None, :, j]]
+                b1, b2 = b[..., 0, :], b[..., 1, :]
+                s = (ones | b2) ^ (twos | b1)
+                ones, twos = (twos | b2) ^ s, (ones | b1) ^ s
+            minima.append(int(_weights((ones | twos).reshape(-1, limbs)).min()))
+    # empty, and so a ValueError, when t is above the number of rows
+    return min(minima)
 
 
 @functools.lru_cache(maxsize=64)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotDualContaining
+from .errors import BudgetExceeded, NotDualContaining
 from .poly import ModulusSign, Z3Poly, divisors_of_modulus, parse_poly
 from .rcodes import RCode
 from .ternary import TernaryPolyCode
@@ -30,7 +30,12 @@ __all__ = [
     "REFERENCE_TABLE",
     "EXPECTED_FLAGS",
     "verify_reference_table",
+    "MAX_SCAN_ROWS",
 ]
+
+# Rows (unordered triples) one scan may build: n = 40 neg makes 2,421,090
+# and peaks at 310 MB; n = 48 pos would make 85,653,600.
+MAX_SCAN_ROWS = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -78,13 +83,21 @@ def scan_dual_containing(
     per-component (k, d), so each divisor is examined once and the
     triples are combined from that table: K = 2(k1+k2+k3) - 3n, and d
     is the least distance over the nonzero components (the Lee distance
-    of the ring code).
+    of the ring code).  Raises ``BudgetExceeded`` before any distance is
+    computed when there are more than ``MAX_SCAN_ROWS`` triples.
     """
     table = [
         code
         for code in (TernaryPolyCode(n, sign, g) for g in divisors_of_modulus(n, sign))
         if code.contains_dual()
     ]
+    m = len(table)
+    rows = m * (m + 1) * (m + 2) // 6
+    if rows > MAX_SCAN_ROWS:
+        raise BudgetExceeded(
+            f"length {n} keeps {m} dual-containing divisors, whose {rows} "
+            f"triples are above the budget of {MAX_SCAN_ROWS} rows"
+        )
     gens = [code.g for code in table]
     # The zero code never contains its dual (the full space), so every
     # listed component has a distance.  The sort's index arrays are freed

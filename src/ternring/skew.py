@@ -81,6 +81,15 @@ MAX_SIEVE_TAILS = 9**6
 MAX_MODULE_LENGTH = 200
 
 
+def _require_module_length(n: int) -> None:
+    """Refuse a module longer than ``MAX_MODULE_LENGTH`` before any work
+    that grows with its length, division by x^n - lam included."""
+    if n > MAX_MODULE_LENGTH:
+        raise BudgetExceeded(
+            f"a module of length {n} is above the budget of {MAX_MODULE_LENGTH}"
+        )
+
+
 def _as_element(value) -> RingElement:
     return value if isinstance(value, RingElement) else scalar(value)
 
@@ -370,6 +379,7 @@ def _monic_right_divisors_brute(n: int, lam) -> tuple[SkewPoly, ...]:
 def skew_cyclic_code(f: SkewPoly, n: int) -> SkewCyclicCode:
     """Module generated by a monic right divisor of x^n - 1; spanned by
     f, xf, ..., x^{n-deg f-1}f and closed under the twisted shift."""
+    _require_module_length(n)
     f = SkewPoly(f)
     if not f:
         raise ZeroPolynomial("generator must be nonzero")
@@ -579,6 +589,7 @@ def one_generator_sqc(polys, s: int, l: int, lam) -> SkewQCModule:
     """Module generated by (f_1, ..., f_l) under left multiplication by
     ring constants and x; each nonzero f_j must be a monic right divisor
     of x^s - lam."""
+    _require_module_length(s * l)
     if s % 2:
         raise OddS("sectioned modules need an even number of blocks")
     lam = _require_unit(lam)
@@ -610,13 +621,8 @@ def _skew_module(cls, s: int, l: int, lam, generators, common_divisor):
     idempotent projections of x^i times the generator vector for each i
     below the rank the common divisor predicts (s if its chain failed),
     so a free module closes in one round; a rank of 0 uses no seed row.
-    Raises ``BudgetExceeded`` above ``MAX_MODULE_LENGTH``, before any
-    Gray row is built."""
+    The entry points have checked s * l against ``MAX_MODULE_LENGTH``."""
     n = s * l
-    if n > MAX_MODULE_LENGTH:
-        raise BudgetExceeded(
-            f"a module of length {n} is above the budget of {MAX_MODULE_LENGTH}"
-        )
     left_x = gray_shift(n, lam.theta(), l, twist=True)
     seed = [p.coeff(i) for i in range(s) for p in generators]
     step = _gray_projections(gray_vector(seed))

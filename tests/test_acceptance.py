@@ -302,7 +302,7 @@ def test_criterion_5_duality_and_pairing_oracles():
                 dual_checked += 1
                 dual_ok &= code.contains_dual() == code.contains_dual_by_subset()
 
-    # (b) the two minimum-distance engines agree wherever both run
+    # (b) direct enumeration agrees with the information-set search
     dist_checked = 0
     dist_ok = True
     for n in (3, 4, 6, 8, 10, 12):
@@ -313,7 +313,7 @@ def test_criterion_5_duality_and_pairing_oracles():
                     dist_checked += 1
                     dist_ok &= gf3linalg.min_weight(
                         code.generator_matrix()
-                    ) == code._low_weight_search()
+                    ) == code.min_distance()
 
     # (c) the Hermitian pairing vanishes exactly when every shifted
     # Euclidean dot product vanishes.  For every wrap constant the

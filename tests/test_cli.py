@@ -3,6 +3,7 @@ codes, JSON payloads, and byte-level determinism."""
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import ternring
+from ternring import ternary
 from ternring.cli import SELFTEST_EXPECTED_FLAGS, main
 from ternring.quantum import verify_reference_table
 
@@ -505,6 +507,46 @@ class TestUsage:
         assert proc.returncode == 1
         assert "BudgetExceeded" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_skew_budget_comes_before_division(self):
+        # x^n - 1 is not divided: the length budget refuses first
+        start = time.perf_counter()
+        proc = run_module("skew", "code", "--n", "10000000", "--f", "x+2")
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 1
+        assert "BudgetExceeded" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_scan_row_budget_exits_one_without_traceback(self):
+        # n = 48 pos keeps 800 divisors, 85,653,600 triples
+        start = time.perf_counter()
+        proc = run_module("--json", "quantum", "scan", "--n", "48", "--sign", "pos")
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"] == "BudgetExceeded"
+        assert "Traceback" not in proc.stderr
+
+    def test_distance_budget_exits_one_without_traceback(self, monkeypatch):
+        monkeypatch.setattr(ternary, "MAX_DISTANCE_WORDS", 20)
+        code, doc, err = run_json(
+            "code", "distance", "--n", "11", "--sign", "pos",
+            "--f1", "x^5+2x^3+x^2+2x+2", "--f2", "1", "--f3", "1",
+        )
+        assert code == 1
+        assert doc["error"] == "BudgetExceeded"
+        assert "[11, 6] code" in doc["detail"]
+        assert "Traceback" not in err
+
+    def test_scan_past_enumeration_cap_is_unchanged(self):
+        # n = 36 neg has 19 components whose k and n - k both exceed 14;
+        # the digest is of the output of the former support-search engine
+        start = time.perf_counter()
+        proc = run_module("--json", "quantum", "scan", "--n", "36", "--sign", "neg")
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "c15aad18088b44844514ddd1945d63cf9da517f88a42b5b18457902414a601fe"
+        )
 
     def test_factor_budget_exits_one_without_traceback(self):
         proc = run_module("--json", "factor", "--n", "100003", "--sign", "pos")

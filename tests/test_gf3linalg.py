@@ -78,6 +78,35 @@ class TestWeightDistribution:
             gf3linalg.min_weight([[1, 0]])
 
 
+def brute_combination_weight(matrix, t):
+    """Least weight over every t rows and every coefficient in {1, 2}."""
+    gen = np.array(matrix, dtype=np.int64)
+    return min(
+        int(np.count_nonzero(np.array(coeffs) @ gen[list(rows)] % 3))
+        for rows in itertools.combinations(range(gen.shape[0]), t)
+        for coeffs in itertools.product((1, 2), repeat=t)
+    )
+
+
+class TestCombinationWeight:
+    @pytest.mark.parametrize("block", [1, 3, 3**9])
+    @pytest.mark.parametrize("n", [7, 64, 70])
+    def test_matches_brute_force(self, monkeypatch, block, n):
+        # blocks smaller than one subset's 2^(t-1) patterns split the
+        # patterns, larger ones take several subsets at once
+        monkeypatch.setattr(gf3linalg, "_BLOCK_WORDS", block)
+        rng = np.random.default_rng(n)
+        matrix = rng.integers(0, 3, size=(6, n))
+        for t in range(1, 7):
+            assert gf3linalg.min_combination_weight(matrix, t) == (
+                brute_combination_weight(matrix, t)
+            ), (block, n, t)
+
+    def test_more_rows_than_the_matrix_is_refused(self):
+        with pytest.raises(ValueError):
+            gf3linalg.min_combination_weight(TETRACODE, 3)
+
+
 class TestCoefficientGrid:
     def test_int8_rows_in_product_order(self):
         # the one int8 grid behind codeword lists and skew tails (the

@@ -3,7 +3,8 @@ exhaustive scans, and the frozen reference table."""
 
 import pytest
 
-from ternring.errors import NotDualContaining, ZeroCode
+from ternring import quantum
+from ternring.errors import BudgetExceeded, NotDualContaining, ZeroCode
 from ternring.poly import ModulusSign, parse_poly
 from ternring.quantum import (
     EXPECTED_FLAGS,
@@ -206,6 +207,29 @@ class TestScan:
                 for g in triple
             )
             assert ok == (tuple(str(f) for f in triple) in listed)
+
+    def test_row_budget_refuses_before_any_distance(self, monkeypatch):
+        # 10 divisors of x^12 + 1 contain their dual: 220 triples
+        def no_distance(self):
+            raise AssertionError("a distance was computed")
+
+        monkeypatch.setattr(TernaryPolyCode, "min_distance", no_distance)
+        monkeypatch.setattr(quantum, "MAX_SCAN_ROWS", 219)
+        with pytest.raises(BudgetExceeded, match="length 12 keeps 10 .* 220 triples"):
+            scan_dual_containing(12, MINUS)
+
+    def test_row_budget_admits_n40_neg(self, monkeypatch):
+        # n = 40 neg, with the most rows of any scan n <= 48 but n = 48 pos,
+        # passes the row check (its 2,421,090 rows are not built here)
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(quantum, "_sorted_triples", reached)
+        with pytest.raises(Reached):
+            scan_dual_containing(40, MINUS)
 
 
 class TestReferenceTable:

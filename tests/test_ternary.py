@@ -1,6 +1,7 @@
 """Tests for ternary polynomial codes: construction, duals,
-dual-containment, weight distributions, and minimum distance (every
-engine)."""
+dual-containment, weight distributions, and minimum distance against
+independent oracles (direct enumeration, the weight distribution, and a
+support search)."""
 
 import gc
 import itertools
@@ -9,8 +10,14 @@ import weakref
 import numpy as np
 import pytest
 
-from ternring import gf3linalg
-from ternring.errors import LengthMismatch, NotADivisor, SelfCheckFailed, ZeroCode
+from ternring import gf3linalg, ternary
+from ternring.errors import (
+    BudgetExceeded,
+    LengthMismatch,
+    NotADivisor,
+    SelfCheckFailed,
+    ZeroCode,
+)
 from ternring.poly import ModulusSign, Z3Poly, divisors_of_modulus, modulus, parse_poly
 from ternring.ternary import TernaryPolyCode
 
@@ -20,6 +27,52 @@ PLUS, MINUS = ModulusSign.PLUS, ModulusSign.MINUS
 
 def code(n, sign, text):
     return TernaryPolyCode(n, sign, P(text))
+
+
+def _support_search(c):
+    """Oracle: the smallest w such that some word of support size w is
+    divisible by g, exhaustive over supports and coefficient patterns, so
+    the first hit is exact.  Its cost grows with the distance, not with
+    k or n - k, so it reaches codes where both exceed the enumeration cap."""
+    deg = c.g.degree
+    if deg == 0:
+        return 1
+    # residue_table[i] = coefficient vector of x^i mod g
+    residue_table = np.zeros((c.n, deg), dtype=np.int64)
+    r = Z3Poly([1])
+    x = Z3Poly.monomial(1)
+    for i in range(c.n):
+        residue_table[i, : len(r.coeffs)] = r.coeffs
+        r = (r * x) % c.g
+    # The first support coefficient can be fixed to 1 (scaling by 2
+    # preserves both support and divisibility).
+    for w in range(1, c.n + 1):
+        patterns = np.array(list(itertools.product((1, 2), repeat=w - 1)), dtype=np.int64)
+        patterns = np.hstack([np.ones((patterns.shape[0], 1), dtype=np.int64), patterns])
+        for support in itertools.combinations(range(c.n), w):
+            remainders = (patterns @ residue_table[list(support)]) % 3
+            if (~remainders.any(axis=1)).any():
+                return w
+    raise AssertionError("the support search found no nonzero codeword")
+
+
+def _first_nonzero_weight(distribution):
+    return next(w for w in range(1, len(distribution)) if distribution[w])
+
+
+def _levels_searched(monkeypatch):
+    """Record (t, least weight) of every level the distance search
+    enumerates."""
+    levels = []
+    real = gf3linalg.min_combination_weight
+
+    def spy(matrix, t):
+        weight = real(matrix, t)
+        levels.append((t, weight))
+        return weight
+
+    monkeypatch.setattr(gf3linalg, "min_combination_weight", spy)
+    return levels
 
 
 class TestConstruction:
@@ -158,8 +211,8 @@ class TestMinDistance:
 
     def test_engines_agree(self):
         # all 242 divisor codes with n <= 12, both signs: min_distance
-        # (distribution of the smaller side) against the two oracles,
-        # direct enumeration of the code and the support search
+        # against the two oracles, direct enumeration of the code and the
+        # support search
         seen = 0
         for n in range(1, 13):
             for sign in (PLUS, MINUS):
@@ -174,7 +227,7 @@ class TestMinDistance:
                         continue
                     d = c.min_distance()
                     assert d == gf3linalg.min_weight(c.generator_matrix()), (n, sign, g)
-                    assert d == c._low_weight_search(), (n, sign, g)
+                    assert d == _support_search(c), (n, sign, g)
         assert seen == 242
 
     def test_distance_matches_exhaustive_weight(self):
@@ -184,40 +237,122 @@ class TestMinDistance:
         assert int(weights[weights > 0].min()) == 4
 
     def test_beyond_enumeration_cap_uses_dual_side(self):
-        # k = 16 > 14: the distance comes from the 2-dimensional dual
-        # and must match the support search
+        # k = 16 > 14: the weight distribution comes from the 2-dimensional
+        # dual, and its first nonzero weight, the distance and the support
+        # search agree
         c = code(18, PLUS, "x^2+x+1")
         assert c.k == 16
-        assert c.min_distance() == c._low_weight_search() == 2
+        assert c.min_distance() == _support_search(c) == 2
+        assert _first_nonzero_weight(c.weight_distribution()) == 2
         with pytest.raises(ValueError):
             gf3linalg.min_weight(c.generator_matrix())
 
-    def test_support_search_beyond_both_caps(self, monkeypatch):
-        # with the cap lowered to 2, every divisor code n <= 10 whose k
-        # and n - k both exceed it takes the support search, and still
-        # matches direct enumeration
-        monkeypatch.setattr(gf3linalg, "MAX_ENUMERATION_DIM", 2)
-        searched = []
-        real = TernaryPolyCode._low_weight_search
-
-        def spy(self):
-            searched.append(self)
-            return real(self)
-
-        monkeypatch.setattr(TernaryPolyCode, "_low_weight_search", spy)
-        for n in range(1, 11):
+    def test_matches_weight_distribution_through_n24(self):
+        # all 1,924 nonzero divisor codes with n <= 24, both signs, many
+        # of them with k > 14 (distribution from the dual by MacWilliams)
+        seen = 0
+        for n in range(1, 25):
             for sign in (PLUS, MINUS):
                 for g in divisors_of_modulus(n, sign):
                     c = TernaryPolyCode(n, sign, g)
                     if c.k == 0:
                         continue
-                    before = len(searched)
+                    seen += 1
+                    assert c.min_distance() == _first_nonzero_weight(
+                        c.weight_distribution()
+                    ), (n, sign, g)
+        assert seen == 1924
+
+    def test_past_both_caps_matches_support_search(self):
+        # n = 32 neg: every divisor code whose k and n - k both exceed 14,
+        # where neither enumeration side runs
+        checked = 0
+        for g in divisors_of_modulus(32, MINUS):
+            c = TernaryPolyCode(32, MINUS, g)
+            if min(c.k, c.n - c.k) > gf3linalg.MAX_ENUMERATION_DIM:
+                checked += 1
+                assert c.min_distance() == _support_search(c), g
+        assert checked
+
+    def test_lowered_cap_leaves_distance_unchanged(self, monkeypatch):
+        # the enumeration cap belongs to gf3linalg's enumerators alone:
+        # lowering it to 2 changes no distance of a divisor code n <= 10,
+        # and each still matches direct enumeration
+        codes = [
+            TernaryPolyCode(n, sign, g)
+            for n in range(1, 11)
+            for sign in (PLUS, MINUS)
+            for g in divisors_of_modulus(n, sign)
+            if n - g.degree > 0
+        ]
+        before = [c.min_distance() for c in codes]
+        monkeypatch.setattr(gf3linalg, "MAX_ENUMERATION_DIM", 2)
+        for c, d in zip(codes, before):
+            assert c.min_distance() == d, c
+            weights = np.count_nonzero(c.codewords(), axis=1)
+            assert d == int(weights[weights > 0].min()), c
+        assert any(min(c.k, c.n - c.k) > 2 for c in codes)
+
+    def test_search_stops_at_first_certified_level(self, monkeypatch):
+        # levels run 1, 2, ..., T with no gap, and the search stops before
+        # level t exactly when (best - 1) * k < t * n or every level is done
+        levels = _levels_searched(monkeypatch)
+        stopped_early = 0
+        for n in range(1, 13):
+            for sign in (PLUS, MINUS):
+                for g in divisors_of_modulus(n, sign):
+                    c = TernaryPolyCode(n, sign, g)
+                    if c.k == 0:
+                        continue
+                    levels.clear()
                     d = c.min_distance()
-                    beyond = min(c.k, n - c.k) > 2
-                    assert len(searched) - before == beyond, (n, sign, g)
-                    weights = np.count_nonzero(c.codewords(), axis=1)
-                    assert d == int(weights[weights > 0].min()), (n, sign, g)
-        assert searched
+                    assert [t for t, _ in levels] == list(range(1, len(levels) + 1))
+                    best = n + 1
+                    for t, weight in levels:
+                        assert (best - 1) * c.k >= t * n, (n, sign, g, t)
+                        best = min(best, weight)
+                    assert best == d
+                    last = len(levels)
+                    if last < c.k:
+                        stopped_early += 1
+                        assert (best - 1) * c.k < (last + 1) * n, (n, sign, g)
+        assert stopped_early
+
+    def test_search_enumerates_few_levels(self, monkeypatch):
+        # a [40, 20, 11] cyclic code: (11 - 1) * 20 < 6 * 40 certifies it
+        # after level 5, against 3^20 words for either enumeration side
+        levels = _levels_searched(monkeypatch)
+        c = code(
+            40, PLUS,
+            "x^20+x^19+x^18+2x^16+2x^13+x^12+x^11+2x^10+x^7+x^6+2x^5+2x^4+x^2+2x+1",
+        )
+        assert c.min_distance() == 11
+        assert [t for t, _ in levels] == [1, 2, 3, 4, 5]
+
+    def test_distance_budget_refuses_before_level(self, monkeypatch):
+        # the [11, 6, 5] ternary Golay code enumerates 6 + 30 = 36 words at
+        # levels 1 and 2; a budget of 20 lets level 1 run and refuses
+        # level 2 before any of its words are made
+        levels = _levels_searched(monkeypatch)
+        c = code(11, PLUS, "x^5+2x^3+x^2+2x+2")
+        assert c.min_distance() == 5
+        assert [t for t, _ in levels] == [1, 2]
+        levels.clear()
+        monkeypatch.setattr(ternary, "MAX_DISTANCE_WORDS", 20)
+        with pytest.raises(BudgetExceeded, match=r"\[11, 6\] code .* level t = 2"):
+            c.min_distance()
+        assert [t for t, _ in levels] == [1]
+
+    def test_non_systematic_pivots_raise(self, monkeypatch):
+        # a generator matrix whose first column is zero cannot reduce to
+        # [I_k | P]; the search refuses it instead of returning a guess
+        monkeypatch.setattr(
+            TernaryPolyCode,
+            "generator_matrix",
+            lambda self: np.roll(np.eye(self.k, self.n, dtype=np.int8), 1, axis=1),
+        )
+        with pytest.raises(SelfCheckFailed):
+            code(6, PLUS, "x^2+2").min_distance()
 
     def test_unknown_method(self):
         # one entry point: the former engines are oracles reached
@@ -281,5 +416,5 @@ class TestWeightDistribution:
         monkeypatch.setattr(gf3linalg, "weight_distribution", corrupted)
         with pytest.raises(SelfCheckFailed):
             c.weight_distribution()
-        with pytest.raises(SelfCheckFailed):
-            c.min_distance()
+        # the distance search reads no weight distribution
+        assert c.min_distance() == 4

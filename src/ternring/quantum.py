@@ -8,17 +8,26 @@ the Lee distance of the ring code.  This module checks containment,
 derives parameters, scans a length exhaustively for all admissible
 component triples, and reproduces a frozen reference table of known
 constructions.
+
+A ternary component with generator g contains its dual exactly when
+g * g* divides the modulus x^n -+ 1, g* being the monic reciprocal of
+g.  The scan reads the admissible generators straight from the
+factorization of the modulus: over its irreducible factors p_j, of
+multiplicities m_j, with sigma pairing each factor with its reciprocal,
+they are the products of p_j^e_j whose exponent vectors satisfy
+e_j + e_sigma(j) <= m_j.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, NotDualContaining
-from .poly import ModulusSign, Z3Poly, divisors_of_modulus, parse_poly
+from .errors import BudgetExceeded, NotDualContaining, SelfCheckFailed
+from .poly import ModulusSign, Z3Poly, factor, modulus, parse_poly
 from .rcodes import RCode
 from .ternary import TernaryPolyCode
 
@@ -77,35 +86,26 @@ def scan_dual_containing(
     unordered triple, sorted by K descending, then d descending, then
     the component generators.
 
-    A component generator f is admissible when f * reciprocal(f)
-    divides the modulus; every triple of admissible generators gives a
-    dual-containing ring code.  Its parameters depend only on the
-    per-component (k, d), so each divisor is examined once and the
-    triples are combined from that table: K = 2(k1+k2+k3) - 3n, and d
-    is the least distance over the nonzero components (the Lee distance
-    of the ring code).  Raises ``BudgetExceeded`` before any distance is
-    computed when there are more than ``MAX_SCAN_ROWS`` triples.
+    The admissible component generators are the g = prod p_j^e_j over
+    the modulus's irreducible factors whose exponent vectors satisfy
+    e_j + e_sigma(j) <= m_j, the criterion for g * g* to divide the
+    modulus (Huffman-Pless 4.4; see the module docstring), and every
+    triple of them gives a dual-containing ring code.  Its parameters
+    depend only on the per-component (k, d), so each generator's code
+    is built once, for its distance, and the triples are combined from
+    that table: K = 2(k1+k2+k3) - 3n, and d is the least distance over
+    the components (the Lee distance of the ring code).  Raises
+    ``BudgetExceeded`` before any generator is multiplied out when
+    there are more than ``MAX_SCAN_ROWS`` triples.
     """
-    table = [
-        code
-        for code in (TernaryPolyCode(n, sign, g) for g in divisors_of_modulus(n, sign))
-        if code.contains_dual()
-    ]
-    m = len(table)
-    rows = m * (m + 1) * (m + 2) // 6
-    if rows > MAX_SCAN_ROWS:
-        raise BudgetExceeded(
-            f"length {n} keeps {m} dual-containing divisors, whose {rows} "
-            f"triples are above the budget of {MAX_SCAN_ROWS} rows"
-        )
-    gens = [code.g for code in table]
+    gens = _dual_containing_generators(n, sign)
     # The zero code never contains its dual (the full space), so every
-    # listed component has a distance.  The sort's index arrays are freed
-    # before the rows are built, which keeps the peak memory down.
+    # listed component has a distance.
+    codes = [TernaryPolyCode(n, sign, g) for g in gens]
     first, second, third, runs = _sorted_triples(
         n,
-        [code.k for code in table],
-        [code.min_distance() for code in table],
+        [code.k for code in codes],
+        [code.min_distance() for code in codes],
         [str(g) for g in gens],
     )
     # Few distinct (K, d) occur, and QuantumParams is immutable, so each
@@ -117,34 +117,118 @@ def scan_dual_containing(
     return list(zip(map(pick, first), map(pick, second), map(pick, third), params))
 
 
+def _dual_containing_generators(n: int, sign: ModulusSign) -> list[Z3Poly]:
+    """The monic g with g * g* dividing the modulus, in ``Z3Poly`` order.
+
+    Each orbit of sigma contributes its own exponents: p^e with
+    2e <= m for a self-reciprocal factor p of multiplicity m, and
+    p^a q^b with a + b <= m for a factor p whose reciprocal is another
+    factor q.  The size of the scan is checked against the number of
+    exponent vectors before any generator is multiplied out."""
+    mod = modulus(n, sign)
+    factors = factor(mod).factors
+    position = {pm: j for j, pm in enumerate(factors)}
+    orbits = []
+    for j, (p, mult) in enumerate(factors):
+        partner = position.get((p.reciprocal().monic(), mult))
+        if partner is None:
+            raise SelfCheckFailed(
+                f"the reciprocal of the factor {p} of {mod} is not a factor "
+                f"of multiplicity {mult}"
+            )
+        if partner >= j:
+            orbits.append((p, factors[partner][0], mult))
+    _check_scan_size(
+        n,
+        math.prod(
+            mult // 2 + 1 if p == q else (mult + 1) * (mult + 2) // 2
+            for p, q, mult in orbits
+        ),
+    )
+    gens = [Z3Poly([1])]
+    for p, q, mult in orbits:
+        if p == q:
+            choices = [p**e for e in range(mult // 2 + 1)]
+        else:
+            choices = [p**a * q**b for a in range(mult + 1) for b in range(mult + 1 - a)]
+        gens = [g * h for g in gens for h in choices]
+    gens.sort()
+    return gens
+
+
+def _check_scan_size(n: int, m: int) -> None:
+    """Refuse a scan of length n over m generators whose triples are
+    above ``MAX_SCAN_ROWS``, or whose sort keys would not fit in int64."""
+    rows = m * (m + 1) * (m + 2) // 6
+    if rows > MAX_SCAN_ROWS:
+        raise BudgetExceeded(
+            f"length {n} keeps {m} dual-containing divisors, whose {rows} "
+            f"triples are above the budget of {MAX_SCAN_ROWS} rows"
+        )
+    # One more than the largest key _sorted_triples can form: 3n - K is
+    # at most 6n, n - d at most n, and each name rank below m.
+    if (6 * n * (n + 1) + n + 1) * m**3 > 2**63:
+        raise BudgetExceeded(
+            f"the sort keys of a length-{n} scan over {m} generators "
+            "do not fit in 64 bits"
+        )
+
+
 def _sorted_triples(
     n: int, ks: list[int], ds: list[int], names: list[str]
 ) -> tuple[list[int], list[int], list[int], list[tuple[int, int, int]]]:
     """Every unordered triple i <= j <= l of table indices, ordered by
     K = 2(k_i + k_j + k_l) - 3n descending, then min(d_i, d_j, d_l)
     descending, then (names[i], names[j], names[l]).  Returns the three
-    index columns as lists and the (K, d, count) runs of the order."""
+    index columns as lists and the (K, d, count) runs of the order.
+
+    One int64 key per triple carries both the order and the triple:
+    ((3n - K)(n + 1) + n - d) m^3 + r_i m^2 + r_j m + r_l, where r ranks
+    the names (distinct, so their ranks order the triples as the names
+    do).  ``_check_scan_size`` has made sure every key fits."""
     m = len(ks)
-    k = np.array(ks, dtype=np.intp)
-    d = np.array(ds, dtype=np.intp)
-    # Names are distinct, so their ranks order the triples as the names do.
-    rank = np.empty(m, dtype=np.intp)
-    rank[sorted(range(m), key=names.__getitem__)] = np.arange(m)
-    triples = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(m), 3)),
-        dtype=np.intp,
-    ).reshape(-1, 3)
-    K = 2 * k[triples].sum(axis=1) - 3 * n
-    dist = d[triples].min(axis=1)
-    r = rank[triples]
-    order = np.lexsort((r[:, 2], r[:, 1], r[:, 0], -dist, -K))
-    triples, K, dist = triples[order], K[order], dist[order]
-    new_run = np.ones(len(K), dtype=bool)
-    new_run[1:] = (K[1:] != K[:-1]) | (dist[1:] != dist[:-1])
-    starts = np.flatnonzero(new_run)
-    counts = np.diff(starts, append=len(K))
-    runs = list(zip(K[starts].tolist(), dist[starts].tolist(), counts.tolist()))
-    return (*(column.tolist() for column in triples.T), runs)
+    k = np.array(ks, dtype=np.int64)
+    d = np.array(ds, dtype=np.int64)
+    by_name = np.array(sorted(range(m), key=names.__getitem__), dtype=np.int64)
+    rank = np.empty(m, dtype=np.int64)
+    rank[by_name] = np.arange(m)
+    # Each pair i <= j heads the run of triples with l = j..m-1; the
+    # pair's share of the key is formed once per pair, and the rows-long
+    # arrays are updated in place, which keeps the peak memory down.
+    i, j = np.triu_indices(m)
+    reps = m - j
+    l = np.repeat(j - (np.cumsum(reps) - reps), reps)
+    l += np.arange(len(l))
+    key = np.repeat(np.minimum(d[i], d[j]), reps)
+    np.minimum(key, d[l], out=key)  # d
+    np.subtract(n, key, out=key)  # n - d
+    part = np.repeat(k[i] + k[j], reps)
+    part += k[l]  # (K + 3n) / 2
+    part *= -2 * (n + 1)
+    key += part
+    key += 6 * n * (n + 1)
+    key *= m**3
+    part = np.repeat((rank[i] * m + rank[j]) * m, reps)
+    part += rank[l]
+    key += part
+    del part, l
+    key.sort()
+    high = key // m**3
+    key %= m**3
+    starts = np.flatnonzero(np.diff(high, prepend=-1))
+    counts = np.diff(starts, append=len(high))
+    below_K, below_d = np.divmod(high[starts], n + 1)  # 3n - K, n - d
+    runs = list(zip((3 * n - below_K).tolist(), (n - below_d).tolist(), counts.tolist()))
+    del high
+    # The columns are decoded into the narrowest dtype and the keys freed
+    # before the lists are made.
+    by_name = by_name.astype(np.min_scalar_type(m))
+    columns = []
+    for scale in (m * m, m, 1):
+        columns.append(by_name[key // scale])
+        key %= scale
+    del key
+    return (*(column.tolist() for column in columns), runs)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ import tracemalloc
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ternring import (
     Factorization,
@@ -108,6 +110,13 @@ class TestTextForms:
         for _ in range(200):
             f = random_poly(rng, 9)
             assert P(str(f)) == f
+
+    @given(st.lists(st.integers(0, 2), max_size=16))
+    def test_str_and_bracket_round_trips(self, coeffs):
+        f = Z3Poly(coeffs)
+        assert P(str(f)) == f
+        # the ascending bracket form, trailing zeros and all
+        assert P("[" + ",".join(map(str, coeffs)) + "]") == f
 
     def test_str_examples(self):
         assert str(P("x^4+2x^3+x+1")) == "x^4+2x^3+x+1"

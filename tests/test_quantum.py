@@ -4,8 +4,8 @@ exhaustive scans, and the frozen reference table."""
 import pytest
 
 from ternring import quantum
-from ternring.errors import BudgetExceeded, NotDualContaining, ZeroCode
-from ternring.poly import ModulusSign, parse_poly
+from ternring.errors import BudgetExceeded, NotDualContaining, SelfCheckFailed, ZeroCode
+from ternring.poly import Factorization, ModulusSign, divisors_of_modulus, parse_poly
 from ternring.quantum import (
     EXPECTED_FLAGS,
     QuantumParams,
@@ -24,18 +24,23 @@ def code(n, sign, texts):
     return RCode.from_sign(n, sign, tuple(P(t) for t in texts))
 
 
+def dual_containing_by_divisor(n, sign):
+    """Per-divisor oracle for the scan's generators: every monic divisor
+    of the modulus whose code passes the divisibility criterion, in
+    canonical order."""
+    return [
+        g for g in divisors_of_modulus(n, sign)
+        if TernaryPolyCode(n, sign, g).contains_dual()
+    ]
+
+
 def scan_by_triple(n, sign):
     """Per-triple oracle for the scan: build the ring code of every
     triple of dual-containing divisors and derive its parameters with
     the checked CSS construction."""
     from itertools import combinations_with_replacement
 
-    from ternring.poly import divisors_of_modulus
-
-    eligible = [
-        g for g in divisors_of_modulus(n, sign)
-        if TernaryPolyCode(n, sign, g).contains_dual()
-    ]
+    eligible = dual_containing_by_divisor(n, sign)
     rows = [
         (*triple, css_params(RCode.from_sign(n, sign, triple), check=True))
         for triple in combinations_with_replacement(eligible, 3)
@@ -50,13 +55,10 @@ def scan_by_string_sort(n, sign):
     strings."""
     from itertools import combinations_with_replacement
 
-    from ternring.poly import divisors_of_modulus
-
     table = []
-    for g in divisors_of_modulus(n, sign):
+    for g in dual_containing_by_divisor(n, sign):
         comp = TernaryPolyCode(n, sign, g)
-        if comp.contains_dual():
-            table.append((g, comp.k, comp.min_distance()))
+        table.append((g, comp.k, comp.min_distance()))
     rows = []
     for triple in combinations_with_replacement(table, 3):
         K = 2 * sum(k for _, k, _ in triple) - 3 * n
@@ -196,8 +198,6 @@ class TestScan:
         # the componentwise subset check appears in the scan
         from itertools import combinations_with_replacement
 
-        from ternring.poly import divisors_of_modulus
-
         rows = scan_dual_containing(4, PLUS)
         listed = {tuple(str(f) for f in row[:3]) for row in rows}
         divs = divisors_of_modulus(4, PLUS)
@@ -208,12 +208,30 @@ class TestScan:
             )
             assert ok == (tuple(str(f) for f in triple) in listed)
 
+    def test_generators_match_per_divisor_filter(self):
+        for n in range(1, 41):
+            for sign in (PLUS, MINUS):
+                assert quantum._dual_containing_generators(n, sign) == (
+                    dual_containing_by_divisor(n, sign)
+                ), (n, sign)
+
+    def test_unpaired_reciprocal_fails_self_check(self, monkeypatch):
+        # x^2 + x + 2 has the reciprocal x^2 + 2x + 2, which is missing
+        fake = Factorization(1, ((P("x+1"), 1), (P("x^2+x+2"), 1)))
+        monkeypatch.setattr(quantum, "factor", lambda f: fake)
+        with pytest.raises(SelfCheckFailed, match="reciprocal of the factor x\\^2\\+x\\+2"):
+            scan_dual_containing(3, PLUS)
+
     def test_row_budget_refuses_before_any_distance(self, monkeypatch):
         # 10 divisors of x^12 + 1 contain their dual: 220 triples
         def no_distance(self):
             raise AssertionError("a distance was computed")
 
+        def no_code(self, *args):
+            raise AssertionError("a component code was built")
+
         monkeypatch.setattr(TernaryPolyCode, "min_distance", no_distance)
+        monkeypatch.setattr(TernaryPolyCode, "__init__", no_code)
         monkeypatch.setattr(quantum, "MAX_SCAN_ROWS", 219)
         with pytest.raises(BudgetExceeded, match="length 12 keeps 10 .* 220 triples"):
             scan_dual_containing(12, MINUS)
@@ -230,6 +248,31 @@ class TestScan:
         monkeypatch.setattr(quantum, "_sorted_triples", reached)
         with pytest.raises(Reached):
             scan_dual_containing(40, MINUS)
+
+    def test_sort_keys_fit_in_int64(self):
+        # the largest row budget, n = 40 neg with 243 generators, keeps
+        # its keys far inside int64 (checked without building its rows)
+        quantum._check_scan_size(40, 243)
+        with pytest.raises(BudgetExceeded, match="64 bits"):
+            quantum._check_scan_size(400_000, 243)
+
+    def test_sort_key_extremes(self):
+        # K = -3n and 3n, d = 0 and n: the ends of each term of the key,
+        # against a plain sort of the triples
+        from itertools import combinations_with_replacement
+
+        n = 5
+        ks, ds, names = [0, 5, 0, 5], [0, 5, 5, 0], ["d", "c", "b", "a"]
+
+        def key(t):
+            K = 2 * sum(ks[x] for x in t) - 3 * n
+            return (-K, -min(ds[x] for x in t), tuple(names[x] for x in t))
+
+        want = sorted(combinations_with_replacement(range(4), 3), key=key)
+        first, second, third, runs = quantum._sorted_triples(n, ks, ds, names)
+        assert list(zip(first, second, third)) == want
+        params = [(K, d) for K, d, count in runs for _ in range(count)]
+        assert params == [(-key(t)[0], -key(t)[1]) for t in want]
 
 
 class TestReferenceTable:

@@ -7,6 +7,8 @@ elements (27), pairs (729), or triples (19683) rather than sampled.
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ternring import (
     ELEMENTS,
@@ -359,6 +361,12 @@ class TestRingPolyText:
             "1",
         ]:
             assert format_ring_poly(parse_ring_poly(text)) == text
+
+    @given(st.lists(st.sampled_from(ELEMENTS), max_size=10))
+    def test_format_parse_round_trip(self, coeffs):
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        assert parse_ring_poly(format_ring_poly(coeffs)) == tuple(coeffs)
 
     def test_parse_rejects_minus(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ternring import gf3linalg, skew
 from ternring.errors import (
@@ -98,6 +100,11 @@ class TestArithmetic:
     def test_parse_and_str_round_trip(self):
         for text in ("0", "1", "x", "x^2+2", "(1+v)x^3+2vx+2", "x+1+v^2"):
             assert str(P(text)) == text
+
+    @given(st.lists(st.sampled_from(ELEMENTS), max_size=10))
+    def test_str_parse_round_trip(self, coeffs):
+        f = SkewPoly(coeffs)
+        assert P(str(f)) == f
 
     def test_structure(self):
         z = SkewPoly()

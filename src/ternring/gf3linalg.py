@@ -1,19 +1,24 @@
-"""Dense linear algebra over GF(3) on numpy int8 matrices.
+"""Linear algebra over GF(3): matrices in and out are numpy int8 arrays
+with entries reduced mod 3.
 
-Everything here treats matrices as collections of row vectors with
-entries reduced mod 3.  These helpers back the code constructions:
-row reduction for ranks and canonical bases, null spaces for duals,
-row-space membership for containment oracles, a chunked exhaustive
-weight-distribution enumerator, and the MacWilliams transform to the
-dual's distribution.  ``min_weight`` reads the first nonzero weight of
-a direct enumeration: it gives Gray-module distances, and the tests'
-oracle for cyclic-code distances.  ``min_combination_weight`` is the
-level kernel of the cyclic-code distance search: the least weight of
-the combinations of t rows.  Both kernels hold words bit-sliced
-(Boothby-Bradshaw 2009): two uint64 masks per word, of the coordinates
-equal to 1 and of those equal to 2, so a weight is a popcount.
-Codeword lists and the skew sieve's tails come from one int8
-coefficient grid.
+Everything here treats matrices as collections of row vectors.  These
+helpers back the code constructions: row reduction for ranks and
+canonical bases, null spaces for duals, row-space membership for
+containment oracles, a chunked exhaustive weight-distribution
+enumerator, and the MacWilliams transform to the dual's distribution.
+Words are held bit-sliced (Boothby-Bradshaw 2009): one mask of the
+coordinates equal to 1 and one of those equal to 2.  Every row
+reduction (``rref`` and through it ``rank``, ``row_basis``,
+``null_space`` and ``same_row_space``, and the membership test) is one
+Gauss-Jordan elimination, ``_eliminate``, on rows held as two Python-int
+masks each, which updates only the rows with a nonzero in the pivot
+column.  ``min_weight`` reads the first nonzero weight of a direct
+enumeration: it gives Gray-module distances, and the tests' oracle for
+cyclic-code distances.  ``min_combination_weight`` is the level kernel
+of the cyclic-code distance search: the least weight of the
+combinations of t rows.  Both enumeration kernels hold words as uint64
+masks, so a weight is a popcount.  Codeword lists and the skew sieve's
+tails come from one int8 coefficient grid.
 """
 
 from __future__ import annotations
@@ -61,31 +66,86 @@ def as_gf3(data) -> np.ndarray:
     return (arr % 3).astype(np.int8)
 
 
-def rref(matrix) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns."""
-    a = as_gf3(matrix)
-    rows, cols = a.shape
+_PLANE_VALUES = np.array([1, 2], dtype=np.int8).reshape(2, 1, 1)
+
+
+def _bit_planes(a: np.ndarray) -> np.ndarray:
+    """The (2, rows, ceil(n/8)) uint8 bit planes of a reduced (rows, n)
+    GF(3) matrix, little bit order: bit j of row i is set in plane 0
+    where entry (i, j) is 1, in plane 1 where it is 2."""
+    return np.packbits(a == _PLANE_VALUES, axis=-1, bitorder="little")
+
+
+def _bitsliced_masks(a: np.ndarray) -> tuple[list[int], list[int]]:
+    """The rows of a reduced GF(3) matrix as two lists of Python ints, the
+    ones and twos masks: bit j of a row's mask is set where its entry j
+    is 1 (ones) or 2 (twos)."""
+    ones, twos = (
+        [int.from_bytes(row, "little") for row in plane] for plane in _bit_planes(a)
+    )
+    return ones, twos
+
+
+def _unpack_masks(ones: list[int], twos: list[int], n: int) -> np.ndarray:
+    """The int8 (rows, n) matrix of bit-sliced rows, the inverse of
+    ``_bitsliced_masks``."""
+    width = -(-n // 8)
+    data = b"".join(m.to_bytes(width, "little") for m in ones + twos)
+    planes = np.frombuffer(data, dtype=np.uint8).reshape(2, len(ones), width)
+    bits = np.unpackbits(planes, axis=-1, count=n, bitorder="little")
+    return (bits[0] + 2 * bits[1]).view(np.int8)
+
+
+def _eliminate(ones: list[int], twos: list[int], columns) -> list[int]:
+    """Gauss-Jordan elimination of bit-sliced rows in place, over the given
+    columns in order; returns the pivot columns.  Each pivot row is found
+    by a bit test, normalised to a leading 1 by doubling it, which swaps
+    its planes (2 * 2 = 1), and subtracted only from the rows with a
+    nonzero in its column.  The sum of a and b, as planes (a1, a2) and
+    (b1, b2), is ones (a2 | b2) ^ t and twos (a1 | b1) ^ t, with
+    t = (a1 | b2) ^ (a2 | b1) (``_bitsliced_span``'s adder).  Subtracting
+    the pivot row p from a row whose entry is 1 adds 2p, whose planes are
+    p's swapped; from a row whose entry is 2 (= -1) it adds p."""
+    rows = len(ones)
     pivots = []
-    r = 0
-    for c in range(cols):
+    for c in columns:
+        r = len(pivots)
         if r == rows:
             break
-        hits = np.nonzero(a[r:, c])[0]
-        if hits.size == 0:
+        bit = 1 << c
+        for p in range(r, rows):
+            if (ones[p] | twos[p]) & bit:
+                break
+        else:
             continue
-        p = r + int(hits[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        if a[r, c] == 2:
-            a[r] = (a[r] * 2) % 3
-        col = a[:, c].copy()
-        col[r] = 0
-        if np.any(col):
-            a = (a - np.outer(col, a[r])) % 3
-            a = a.astype(np.int8)
+        ones[r], ones[p], twos[r], twos[p] = ones[p], ones[r], twos[p], twos[r]
+        if twos[r] & bit:
+            ones[r], twos[r] = twos[r], ones[r]
+        p1, p2 = ones[r], twos[r]
+        for i in range(rows):
+            a1 = ones[i]
+            if a1 & bit:
+                if i != r:
+                    a2 = twos[i]
+                    t = (a1 | p1) ^ (a2 | p2)
+                    ones[i], twos[i] = (a2 | p1) ^ t, (a1 | p2) ^ t
+            else:
+                a2 = twos[i]
+                if a2 & bit:
+                    t = (a1 | p2) ^ (a2 | p1)
+                    ones[i], twos[i] = (a2 | p2) ^ t, (a1 | p1) ^ t
         pivots.append(c)
-        r += 1
-    return a, tuple(pivots)
+    return pivots
+
+
+def rref(matrix) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns.  The reduced matrix is
+    packed once into bit-sliced rows (``_bitsliced_masks``), eliminated
+    by ``_eliminate`` and unpacked once to int8."""
+    a = as_gf3(matrix)
+    ones, twos = _bitsliced_masks(a)
+    pivots = _eliminate(ones, twos, range(a.shape[1]))
+    return _unpack_masks(ones, twos, a.shape[1]), tuple(pivots)
 
 
 def rank(matrix) -> int:
@@ -99,29 +159,29 @@ def row_basis(matrix) -> np.ndarray:
 
 
 def null_space(matrix) -> np.ndarray:
-    """Basis rows of {x : every row of matrix is orthogonal to x}."""
-    a = as_gf3(matrix)
-    _, cols = a.shape
-    r, pivots = rref(a)
-    free = [c for c in range(cols) if c not in set(pivots)]
+    """Basis rows of {x : every row of matrix is orthogonal to x}: one row
+    per free column f, with 1 at f and -R[i, f] at the i-th pivot."""
+    r, pivots = rref(matrix)
+    cols = r.shape[1]
+    free = sorted(set(range(cols)).difference(pivots))
     basis = np.zeros((len(free), cols), dtype=np.int8)
-    for row, f in enumerate(free):
-        basis[row, f] = 1
-        for i, p in enumerate(pivots):
-            basis[row, p] = (-int(r[i, f])) % 3
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = -r[: len(pivots), free].T % 3
     return basis
 
 
 def row_space_contains(matrix, vectors) -> bool:
-    """Whether every given vector lies in the row space of matrix."""
+    """Whether every given vector lies in the row space of matrix: the
+    vectors are reduced by the RREF rows over the pivot columns, the same
+    elimination as ``rref``'s, and must vanish."""
     basis, pivots = rref(matrix)
     v = as_gf3(vectors)
     if v.shape[1] != basis.shape[1]:
         raise ValueError("column count mismatch")
-    v = v.astype(np.int16)
-    for i, p in enumerate(pivots):
-        v = (v - np.outer(v[:, p], basis[i])) % 3
-    return not np.any(v)
+    k = len(pivots)
+    ones, twos = _bitsliced_masks(np.vstack([basis[:k], v]))
+    _eliminate(ones, twos, pivots)
+    return not any(ones[k:]) and not any(twos[k:])
 
 
 def same_row_space(a, b) -> bool:
@@ -149,18 +209,13 @@ def _span(basis: np.ndarray) -> np.ndarray:
     return ((grid @ basis.astype(np.int64)) % 3).astype(np.int8)
 
 
-_PLANE_VALUES = np.array([1, 2], dtype=np.int8).reshape(2, 1, 1)
-
-
 def _bitsliced_rows(basis: np.ndarray) -> np.ndarray:
     """The rows of a (k, n) GF(3) matrix as a (2, k, ceil(n/64)) uint64
     array: bit j of row i in plane 0 is set where entry (i, j) is 1, in
     plane 1 where it is 2."""
     k, n = basis.shape
     packed = np.zeros((2, k, 8 * -(-n // 64)), dtype=np.uint8)
-    packed[..., : -(-n // 8)] = np.packbits(
-        basis == _PLANE_VALUES, axis=-1, bitorder="little"
-    )
+    packed[..., : -(-n // 8)] = _bit_planes(basis)
     return packed.view(np.uint64)
 
 

@@ -393,6 +393,15 @@ def _berlekamp_split(w: Z3Poly) -> list[Z3Poly]:
     q = _frobenius_rows(w)
     q[np.diag_indices_from(q)] -= 1  # Q - I; null_space reduces mod 3
     kernel = gf3linalg.null_space(q.T)
+    # the kernel's size from a second elimination, of Q - I itself: a
+    # kernel that lost a row can still split into as many factors as it
+    # has rows
+    dimension = w.degree - gf3linalg.rank(q)
+    if len(kernel) != dimension:
+        raise SelfCheckFailed(
+            f"Berlekamp kernel of {w} has {len(kernel)} rows, not "
+            f"deg - rank(Q - I) = {dimension}"
+        )
     factors = [w]
     for row in kernel:
         if len(factors) == len(kernel):

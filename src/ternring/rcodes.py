@@ -497,9 +497,9 @@ class GrayModule:
     __slots__ = ("n", "basis")
 
     def __init__(self, rows, n: int):
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3 * n)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis", gf3linalg.row_basis(rows % 3))
+        basis = gf3linalg.row_basis(np.reshape(rows, (-1, 3 * n)))
+        object.__setattr__(self, "basis", basis)
 
     def __setattr__(self, name, value):
         raise AttributeError("GrayModule is immutable")

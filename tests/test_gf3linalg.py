@@ -1,11 +1,14 @@
-"""Tests for the GF(3) weight-distribution kernel, minimum weight, and
-the MacWilliams transform, against brute-force enumeration."""
+"""Tests for the GF(3) elimination kernel against an int8 oracle, and for
+the weight-distribution kernel, minimum weight, and the MacWilliams
+transform, against brute-force enumeration."""
 
 import itertools
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ternring import gf3linalg
 from ternring.errors import SelfCheckFailed
@@ -26,6 +29,109 @@ def brute_distribution(generator):
         counts += np.bincount(weights, minlength=n + 1)
     repeat = 3 ** (rows - gf3linalg.rank(gen))
     return [int(c) // repeat for c in counts]
+
+
+def int8_rref(matrix):
+    """Reduced row echelon form and pivots of a 2-D integer matrix on int8,
+    clearing the pivot column of every row with one outer product per
+    pivot: the elimination the bit-sliced kernel replaced, kept as its
+    oracle."""
+    a = (np.asarray(matrix, dtype=np.int64) % 3).astype(np.int8)
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        hits = np.nonzero(a[r:, c])[0]
+        if hits.size == 0:
+            continue
+        p = r + int(hits[0])
+        if p != r:
+            a[[r, p]] = a[[p, r]]
+        if a[r, c] == 2:
+            a[r] = (a[r] * 2) % 3
+        col = a[:, c].copy()
+        col[r] = 0
+        if np.any(col):
+            a = (a - np.outer(col, a[r])) % 3
+            a = a.astype(np.int8)
+        pivots.append(c)
+        r += 1
+    return a, tuple(pivots)
+
+
+@st.composite
+def matrices(draw, max_rows=40, max_cols=130):
+    """Integer matrices of up to 40 rows and 130 columns (words of one, two
+    and three 64-bit limbs), of any rank up to full, with a zero row and
+    a duplicate row when there are rows, and entries outside 0..2 that
+    stand for their residues mod 3."""
+    rows = draw(st.integers(0, max_rows))
+    boundaries = [c for c in (1, 63, 64, 65, 127, 128, 129, 130) if c <= max_cols]
+    cols = draw(st.integers(0, max_cols) | st.sampled_from(boundaries))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.integers(0, 3, size=(draw(st.integers(0, rows)), cols))
+    m = rng.integers(0, 3, size=(rows, base.shape[0])) @ base % 3
+    if rows:
+        m[draw(st.integers(0, rows - 1))] = 0
+        m[draw(st.integers(0, rows - 1))] = m[draw(st.integers(0, rows - 1))]
+    return m + 3 * rng.integers(-2, 2, size=m.shape)
+
+
+class TestElimination:
+    @given(matrices())
+    def test_rref_matches_the_int8_oracle(self, m):
+        expected, expected_pivots = int8_rref(m)
+        r, pivots = gf3linalg.rref(m)
+        assert r.dtype == np.int8
+        assert pivots == expected_pivots
+        assert np.array_equal(r, expected)
+        assert gf3linalg.rank(m) == len(pivots)
+        assert np.array_equal(gf3linalg.row_basis(m), expected[: len(pivots)])
+
+    @given(matrices())
+    def test_null_space_is_orthogonal_with_cols_minus_rank_rows(self, m):
+        cols = m.shape[1]
+        dimension = cols - len(int8_rref(m)[1])
+        basis = gf3linalg.null_space(m)
+        assert basis.dtype == np.int8
+        assert basis.shape == (dimension, cols)
+        assert not np.any(m @ basis.T.astype(np.int64) % 3)
+        assert len(int8_rref(basis)[1]) == dimension
+
+    @given(matrices(), st.integers(0, 2**32 - 1))
+    def test_combinations_are_members_and_a_free_unit_vector_is_not(self, m, seed):
+        # a word of the row space is fixed by its pivot coordinates, so
+        # the unit vector at a free column lies outside it
+        rows, cols = m.shape
+        combos = np.random.default_rng(seed).integers(-4, 7, size=(3, rows)) @ m
+        assert gf3linalg.row_space_contains(m, combos)
+        pivots = int8_rref(m)[1]
+        for f in [c for c in range(cols) if c not in pivots][:3]:
+            outside = np.zeros(cols, dtype=np.int64)
+            outside[f] = 2
+            assert not gf3linalg.row_space_contains(m, np.vstack([combos, outside]))
+            assert not gf3linalg.row_space_contains(m, outside + combos[0])
+
+    @given(matrices(max_rows=6), st.integers(0, 2**32 - 1))
+    def test_membership_matches_the_enumerated_span(self, m, seed):
+        rows, cols = m.shape
+        coefficients = np.array(
+            list(itertools.product(range(3), repeat=rows)), dtype=np.int64
+        ).reshape(3**rows, rows)
+        span = {tuple(w) for w in (coefficients @ m % 3).tolist()}
+        # four words of the span, two with their first two coordinates
+        # redrawn (in range or not, in the span or not), and two random words
+        rng = np.random.default_rng(seed)
+        near = (rng.integers(0, 3, size=(4, rows)) @ m) % 3
+        near[:2, : min(cols, 2)] = rng.integers(-3, 6, size=(2, min(cols, 2)))
+        for v in np.vstack([near, rng.integers(0, 3, size=(2, cols))]):
+            assert gf3linalg.row_space_contains(m, v) == (tuple(v % 3) in span)
+
+    def test_column_count_mismatch_is_refused(self):
+        with pytest.raises(ValueError):
+            gf3linalg.row_space_contains(TETRACODE, [[1, 0, 1]])
 
 
 class TestWeightDistribution:

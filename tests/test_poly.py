@@ -5,6 +5,7 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given
@@ -394,6 +395,25 @@ class TestBerlekamp:
         monkeypatch.setattr(gf3linalg, "null_space", lambda m: full(m)[1:])
         with pytest.raises(SelfCheckFailed):
             factor(P("x^3+2x"))
+
+    @pytest.mark.parametrize(
+        "lost", [0, 1, -1], ids=["first row", "second row", "last row"]
+    )
+    def test_lost_kernel_row_is_caught_for_every_modulus(self, monkeypatch, lost):
+        # The factor count alone missed a lost row for about 73 of these
+        # 120 moduli; the rank of Q - I catches every one.  A one-row
+        # kernel has no second row and loses its only row instead.
+        full = gf3linalg.null_space
+
+        def without_a_row(m):
+            kernel = full(m)
+            return np.delete(kernel, min(lost, len(kernel) - 1) % len(kernel), axis=0)
+
+        monkeypatch.setattr(gf3linalg, "null_space", without_a_row)
+        for n in range(1, 61):
+            for sign in ModulusSign:
+                with pytest.raises(SelfCheckFailed):
+                    factor(modulus(n, sign))
 
     def test_budget_bounds_the_squarefree_part(self, monkeypatch):
         monkeypatch.setattr(poly, "MAX_BERLEKAMP_DEGREE", 10)

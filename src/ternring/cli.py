@@ -34,6 +34,7 @@ from .errors import TernringError
 from .poly import ModulusSign, factor, modulus, parse_poly
 from .quantum import (
     EXPECTED_FLAGS,
+    collector_paused,
     css_params,
     scan_dual_containing,
     verify_reference_table,
@@ -323,14 +324,16 @@ def cmd_quantum_scan(args) -> CommandResult:
     rows = scan_dual_containing(args.n, _sign(args.sign))[: args.limit]
     # a scan names a few hundred generators in up to millions of rows
     name = functools.cache(str)
-    payload = {
-        "n": args.n,
-        "sign": args.sign,
-        "rows": [
-            {"f": [name(a), name(b), name(c)], "N": p.N, "K": p.K, "d": p.d}
-            for a, b, c, p in rows
-        ],
-    }
+    # the row dicts form no cycles; see scan_dual_containing
+    with collector_paused():
+        payload = {
+            "n": args.n,
+            "sign": args.sign,
+            "rows": [
+                {"f": [name(a), name(b), name(c)], "N": p.N, "K": p.K, "d": p.d}
+                for a, b, c, p in rows
+            ],
+        }
     lines = (
         f"[[{r['N']},{r['K']},{r['d']}]]  f = ({', '.join(r['f'])})"
         for r in payload["rows"]

@@ -16,9 +16,11 @@ column.  ``min_weight`` reads the first nonzero weight of a direct
 enumeration: it gives Gray-module distances, and the tests' oracle for
 cyclic-code distances.  ``min_combination_weight`` is the level kernel
 of the cyclic-code distance search: the least weight of the
-combinations of t rows.  Both enumeration kernels hold words as uint64
-masks, so a weight is a popcount.  Codeword lists and the skew sieve's
-tails come from one int8 coefficient grid.
+combinations of t rows, which the search calls on rows it has
+bit-sliced itself (``_mask_words``, ``_min_combination_weight``).  Both
+enumeration kernels hold words as uint64 masks, so a weight is a
+popcount.  Codeword lists and the skew sieve's tails come from one int8
+coefficient grid.
 """
 
 from __future__ import annotations
@@ -172,14 +174,17 @@ def null_space(matrix) -> np.ndarray:
 
 def row_space_contains(matrix, vectors) -> bool:
     """Whether every given vector lies in the row space of matrix: the
-    vectors are reduced by the RREF rows over the pivot columns, the same
-    elimination as ``rref``'s, and must vanish."""
-    basis, pivots = rref(matrix)
-    v = as_gf3(vectors)
-    if v.shape[1] != basis.shape[1]:
+    matrix's masks are eliminated once, the vectors' masks are reduced by
+    its pivot rows over the pivot columns, by the same ``_eliminate``,
+    and must vanish."""
+    a, v = as_gf3(matrix), as_gf3(vectors)
+    if v.shape[1] != a.shape[1]:
         raise ValueError("column count mismatch")
+    ones, twos = _bitsliced_masks(a)
+    pivots = _eliminate(ones, twos, range(a.shape[1]))
     k = len(pivots)
-    ones, twos = _bitsliced_masks(np.vstack([basis[:k], v]))
+    v_ones, v_twos = _bitsliced_masks(v)
+    ones, twos = ones[:k] + v_ones, twos[:k] + v_twos
     _eliminate(ones, twos, pivots)
     return not any(ones[k:]) and not any(twos[k:])
 
@@ -217,6 +222,14 @@ def _bitsliced_rows(basis: np.ndarray) -> np.ndarray:
     packed = np.zeros((2, k, 8 * -(-n // 64)), dtype=np.uint8)
     packed[..., : -(-n // 8)] = _bit_planes(basis)
     return packed.view(np.uint64)
+
+
+def _mask_words(ones: list[int], twos: list[int], n: int) -> np.ndarray:
+    """Length-n bit-sliced rows held as Python-int masks, as the
+    (2, rows, ceil(n/64)) uint64 array of ``_bitsliced_rows``."""
+    width = 8 * -(-n // 64)
+    data = b"".join(m.to_bytes(width, "little") for m in ones + twos)
+    return np.frombuffer(data, dtype=np.uint64).reshape(2, len(ones), width // 8)
 
 
 def _bitsliced_span(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,9 +313,13 @@ def min_combination_weight(matrix, t: int) -> int:
     """Least Hamming weight of c_1 r_1 + ... + c_t r_t over every set of t
     distinct rows of the matrix and every nonzero coefficient vector with
     c_1 = 1 (doubling a word keeps its weight): C(k, t) 2^(t-1) words,
-    made bit-sliced, at most 3^9 at once.  Bit j - 2 of a pattern number
-    picks c_j = 2."""
-    rows = _bitsliced_rows(as_gf3(matrix))
+    made bit-sliced, at most 3^9 at once."""
+    return _min_combination_weight(_bitsliced_rows(as_gf3(matrix)), t)
+
+
+def _min_combination_weight(rows: np.ndarray, t: int) -> int:
+    """``min_combination_weight`` of bit-sliced rows, a (2, k, limbs)
+    uint64 array.  Bit j - 2 of a pattern number picks c_j = 2."""
     k, limbs = rows.shape[1:]
     # signed[c - 1] holds the rows times c as (ones, twos) planes
     signed = np.stack([rows, rows[::-1]])

@@ -20,6 +20,8 @@ e_j + e_sigma(j) <= m_j.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import math
 from dataclasses import dataclass
@@ -114,7 +116,25 @@ def scan_dual_containing(
         itertools.repeat(QuantumParams(3 * n, K, d), count) for K, d, count in runs
     )
     pick = gens.__getitem__
-    return list(zip(map(pick, first), map(pick, second), map(pick, third), params))
+    # The rows hold only Z3Poly and QuantumParams objects, so they form no
+    # cycles, but their allocations would set off collections again and
+    # again.
+    with collector_paused():
+        return list(zip(map(pick, first), map(pick, second), map(pick, third), params))
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector for the block, and restore its
+    previous state after it (a collector disabled before stays
+    disabled)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _dual_containing_generators(n: int, sign: ModulusSign) -> list[Z3Poly]:

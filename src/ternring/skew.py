@@ -237,23 +237,22 @@ def skew_right_divmod(f: SkewPoly, g: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
         raise NonUnitLeadingCoefficient(
             f"leading coefficient {u} is not a unit"
         )
-    u_inv = u.inverse()
     rem = list(f.coeffs)
     dg = g.degree
     q = [ZERO] * max(len(rem) - dg, 0)
-    while len(rem) > dg and any(c is not ZERO for c in rem):
-        while rem and rem[-1] is ZERO:
-            rem.pop()
-        if len(rem) <= dg:
-            break
-        t = len(rem) - 1 - dg
-        # leading term of (c x^t) * g is c * theta^t(u) x^{deg f}
-        c = rem[-1] * (u_inv if t % 2 == 0 else u_inv.theta())
-        q[t] = c
-        for j, b in enumerate(g.coeffs):
-            tb = b if t % 2 == 0 else b.theta()
-            rem[t + j] = rem[t + j] - c * tb
-    return SkewPoly(q), SkewPoly(rem)
+    # (c x^t) * g twists g's coefficients by theta^t, of period 2
+    inv = u.inverse()
+    u_inv = (inv, inv.theta())
+    twisted = (g.coeffs, tuple(b.theta() for b in g.coeffs))
+    for top in range(len(rem) - 1, dg - 1, -1):
+        if rem[top] is ZERO:
+            continue
+        t = top - dg
+        # leading term of (c x^t) * g is c * theta^t(u) x^top
+        c = q[t] = rem[top] * u_inv[t % 2]
+        for j, b in enumerate(twisted[t % 2]):
+            rem[t + j] = rem[t + j] - c * b
+    return SkewPoly(q), SkewPoly(rem[:dg])
 
 
 def is_right_divisor(f: SkewPoly, n: int, lam) -> bool:

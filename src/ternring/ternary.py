@@ -10,7 +10,11 @@ whose weights are popcounts, and the dual side is carried over by the
 MacWilliams transform.  Minimum Hamming distance has one exact engine
 for every k: a Brouwer-Zimmermann search on the information set
 0..k-1, which the cyclic (or negacyclic) shift makes sufficient on its
-own.  ``gf3linalg.min_weight`` on the generator matrix and the weight
+own.  Its systematic matrix [I_k | P] is built without elimination:
+row j is x^j + x^k s_j, s_j being the remainder of -x^(j-k) modulo g
+(systematic encoding by division), and the same remainder recurrence
+carried on to -x^(-n) checks that g divides the modulus.
+``gf3linalg.min_weight`` on the generator matrix and the weight
 distribution serve the tests as independent oracles.
 """
 
@@ -148,12 +152,47 @@ class TernaryPolyCode:
             gf3linalg.weight_distribution(dual.generator_matrix()), dual.k
         )
 
+    def _systematic_masks(self) -> tuple[list[int], list[int]]:
+        """The rows of the systematic generator matrix [I_k | P] as
+        bit-sliced (ones, twos) masks, bit j being coordinate j, read off
+        the remainders of powers of x modulo g (systematic encoding by
+        division).  Row j is x^j + x^k s_j, with s_j = -x^(j-k) mod g:
+        from s_k = -1, each s is the last one divided by x mod g, by
+        adding the multiple of g that clears its constant term and
+        shifting right.  Carried on to s_(k-n) = -x^(-n) mod g, the
+        recurrence ends at the constant 2 exactly when g divides x^n - 1
+        and at 1 when it divides x^n + 1; any other end raises
+        ``SelfCheckFailed``."""
+        n, k, coeffs = self.n, self.k, self.g.coeffs
+        g1 = sum(1 << i for i, c in enumerate(coeffs) if c == 1)
+        g2 = sum(1 << i for i, c in enumerate(coeffs) if c == 2)
+        # (a1, a2): the multiple of g with constant term 2, g(0) being its
+        # own inverse; -a has the planes swapped
+        a1, a2 = (g2, g1) if coeffs[0] == 1 else (g1, g2)
+        ones, twos = [0] * k, [0] * k
+        s1, s2 = 0, 1
+        for j in range(k - 1, k - n - 1, -1):
+            if s1 & 1 or s2 & 1:
+                # s + a or s - a, by the adder of gf3linalg._eliminate
+                b1, b2 = (a1, a2) if s1 & 1 else (a2, a1)
+                t = (s1 | b2) ^ (s2 | b1)
+                s1, s2 = (s2 | b2) ^ t, (s1 | b1) ^ t
+            s1, s2 = s1 >> 1, s2 >> 1
+            if j >= 0:
+                ones[j] = (1 << j) | (s1 << k)
+                twos[j] = s2 << k
+        end = (0, 1) if self.sign is ModulusSign.PLUS else (1, 0)
+        if self.g.degree and (not coeffs[0] or (s1, s2) != end):
+            raise SelfCheckFailed(f"{self.g} does not divide {self.modulus}")
+        return ones, twos
+
     def min_distance(self) -> int:
         """Exact minimum Hamming weight of a nonzero codeword, by a
         Brouwer-Zimmermann search on one information set (Grassl 2006).
 
-        The shifts of g reduce to a systematic matrix [I_k | P], and level
-        t enumerates the words with t nonzeros among coordinates 0..k-1.
+        The systematic matrix [I_k | P] comes from the remainders of
+        powers of x modulo g (``_systematic_masks``), and level t
+        enumerates the words with t nonzeros among coordinates 0..k-1.
         Any k cyclically consecutive coordinates are an information set
         too, and the (signed) shift keeps weight, so a word of weight w
         has a shift with at most floor(w k / n) nonzeros among 0..k-1.
@@ -164,9 +203,7 @@ class TernaryPolyCode:
         if self.k == 0:
             raise ZeroCode("the zero code has no nonzero codeword")
         n, k = self.n, self.k
-        systematic, pivots = gf3linalg.rref(self.generator_matrix())
-        if pivots != tuple(range(k)):
-            raise SelfCheckFailed(f"the shifts of {self.g} are not systematic")
+        systematic = gf3linalg._mask_words(*self._systematic_masks(), n)
         best, words = n + 1, 0
         for t in range(1, k + 1):
             if (best - 1) * k < t * n:
@@ -177,5 +214,5 @@ class TernaryPolyCode:
                     f"the distance of a [{n}, {k}] code needs more than "
                     f"{MAX_DISTANCE_WORDS} candidate words by level t = {t}"
                 )
-            best = min(best, gf3linalg.min_combination_weight(systematic, t))
+            best = min(best, gf3linalg._min_combination_weight(systematic, t))
         return best

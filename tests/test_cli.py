@@ -3,6 +3,7 @@ codes, JSON payloads, and byte-level determinism."""
 
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -370,6 +371,18 @@ class TestQuantum:
             "quantum", "scan", "--n", "3", "--sign", "neg", "--limit", "2"
         )
         assert len(doc["payload"]["rows"]) == 2
+
+    def test_scan_restores_collector_state(self):
+        # the payload is built with the collector paused, and the caller's
+        # setting survives the command either way
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            try:
+                code, out, _ = run_cli("quantum", "scan", "--n", "6", "--sign", "pos")
+                assert code == 0 and out.startswith("[[18,")
+                assert gc.isenabled() is enabled
+            finally:
+                gc.enable()
 
     def test_verify_reference(self):
         code, doc, _ = run_json("quantum", "verify-paper")

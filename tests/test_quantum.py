@@ -1,6 +1,8 @@
 """Tests for dual-containment checking, CSS parameter derivation,
 exhaustive scans, and the frozen reference table."""
 
+import gc
+
 import pytest
 
 from ternring import quantum
@@ -248,6 +250,26 @@ class TestScan:
         monkeypatch.setattr(quantum, "_sorted_triples", reached)
         with pytest.raises(Reached):
             scan_dual_containing(40, MINUS)
+
+    def test_scan_restores_collector_state(self):
+        # the collector is paused only while the rows are built, and a
+        # caller's setting survives the scan either way
+        assert gc.isenabled()
+        rows = scan_dual_containing(8, MINUS)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            assert scan_dual_containing(8, MINUS) == rows
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_paused_collector_restored_after_error(self):
+        with pytest.raises(ZeroDivisionError):
+            with quantum.collector_paused():
+                assert not gc.isenabled()
+                1 / 0
+        assert gc.isenabled()
 
     def test_sort_keys_fit_in_int64(self):
         # the largest row budget, n = 40 neg with 243 generators, keeps

@@ -176,6 +176,26 @@ class TestRightDivision:
             assert q * g + r == f
             assert r.degree < g.degree
 
+    def test_reconstruction_of_long_dividends(self):
+        # one pass over the dividend's degrees: long f against short and
+        # long divisors, zero runs in f included
+        rng = random.Random(11)
+        for _ in range(20):
+            f = SkewPoly(
+                [rng.choice((ZERO, ZERO, *ELEMENTS)) for _ in range(rng.randint(200, 600))]
+            )
+            g = random_unit_lead(rng, rng.choice((1, 2, 7, 150)))
+            q, r = skew_right_divmod(f, g)
+            assert q * g + r == f
+            assert r.degree < g.degree
+
+    def test_division_is_linear_in_the_dividend(self):
+        # x^99999 by x^2 - 1 ends in the remainder x; a division that
+        # rescanned the remainder at every step took over a minute
+        start = time.perf_counter()
+        assert gcld([P("x^99999"), X], 2, 1) == P("1")
+        assert time.perf_counter() - start < 20
+
     def test_power_minus_constant(self):
         assert power_minus_constant(2, 1) == P("x^2+2")
         assert power_minus_constant(3, E("2")) == P("x^3+1")

@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ternring import gf3linalg, ternary
+from ternring import gf3linalg, quantum, ternary
 from ternring.errors import (
     BudgetExceeded,
     LengthMismatch,
@@ -20,6 +20,7 @@ from ternring.errors import (
 )
 from ternring.poly import ModulusSign, Z3Poly, divisors_of_modulus, modulus, parse_poly
 from ternring.ternary import TernaryPolyCode
+from test_gf3linalg import int8_rref
 
 P = parse_poly
 PLUS, MINUS = ModulusSign.PLUS, ModulusSign.MINUS
@@ -64,14 +65,14 @@ def _levels_searched(monkeypatch):
     """Record (t, least weight) of every level the distance search
     enumerates."""
     levels = []
-    real = gf3linalg.min_combination_weight
+    real = gf3linalg._min_combination_weight
 
-    def spy(matrix, t):
-        weight = real(matrix, t)
+    def spy(rows, t):
+        weight = real(rows, t)
         levels.append((t, weight))
         return weight
 
-    monkeypatch.setattr(gf3linalg, "min_combination_weight", spy)
+    monkeypatch.setattr(gf3linalg, "_min_combination_weight", spy)
     return levels
 
 
@@ -343,16 +344,62 @@ class TestMinDistance:
             c.min_distance()
         assert [t for t, _ in levels] == [1]
 
-    def test_non_systematic_pivots_raise(self, monkeypatch):
-        # a generator matrix whose first column is zero cannot reduce to
-        # [I_k | P]; the search refuses it instead of returning a guess
-        monkeypatch.setattr(
-            TernaryPolyCode,
-            "generator_matrix",
-            lambda self: np.roll(np.eye(self.k, self.n, dtype=np.int8), 1, axis=1),
-        )
-        with pytest.raises(SelfCheckFailed):
-            code(6, PLUS, "x^2+2").min_distance()
+    def test_systematic_masks_match_rref(self):
+        # [I_k | P] from the remainders of powers of x is the reduced
+        # echelon form of the shifts of g: every nonzero divisor code with
+        # n <= 30 and every dual-containing generator with n <= 40, both
+        # signs, against the int8 elimination oracle
+        codes = [
+            TernaryPolyCode(n, sign, g)
+            for n in range(1, 31)
+            for sign in (PLUS, MINUS)
+            for g in divisors_of_modulus(n, sign)
+            if g.degree < n
+        ] + [
+            TernaryPolyCode(n, sign, g)
+            for n in range(31, 41)
+            for sign in (PLUS, MINUS)
+            for g in quantum._dual_containing_generators(n, sign)
+        ]
+        assert len(codes) == 4550
+        for c in codes:
+            reduced, pivots = int8_rref(c.generator_matrix())
+            assert pivots == tuple(range(c.k))
+            masks = gf3linalg._unpack_masks(*c._systematic_masks(), c.n)
+            assert np.array_equal(masks, reduced), c
+
+    def test_distance_builds_no_generator_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("min_distance eliminated a matrix")
+
+        monkeypatch.setattr(TernaryPolyCode, "generator_matrix", refuse)
+        monkeypatch.setattr(gf3linalg, "rref", refuse)
+        assert code(11, PLUS, "x^5+2x^3+x^2+2x+2").min_distance() == 5
+
+    def test_non_divisor_fails_self_check(self):
+        # the remainder recurrence ends at -x^(-n) mod g only when g
+        # divides the modulus and g(0) != 0; a non-divisor that bypasses
+        # __init__ is refused instead of answered, for every monic
+        # non-divisor g with 0 < deg g < n <= 6, both signs (with g(0) = 0,
+        # 33 of those with n <= 8 would end at the right constant)
+        refused = 0
+        for n in range(2, 7):
+            for sign in (PLUS, MINUS):
+                divisors = set(divisors_of_modulus(n, sign))
+                for degree in range(1, n):
+                    for tail in itertools.product((0, 1, 2), repeat=degree):
+                        g = Z3Poly([*tail, 1])
+                        if g in divisors:
+                            continue
+                        c = object.__new__(TernaryPolyCode)
+                        for name, value in (
+                            ("n", n), ("sign", sign), ("g", g), ("k", n - degree)
+                        ):
+                            object.__setattr__(c, name, value)
+                        with pytest.raises(SelfCheckFailed, match="does not divide"):
+                            c.min_distance()
+                        refused += 1
+        assert refused == 1040
 
     def test_unknown_method(self):
         # one entry point: the former engines are oracles reached

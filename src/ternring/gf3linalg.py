@@ -1,26 +1,24 @@
 """Linear algebra over GF(3): matrices in and out are numpy int8 arrays
 with entries reduced mod 3.
 
-Everything here treats matrices as collections of row vectors.  These
-helpers back the code constructions: row reduction for ranks and
+These helpers back the code constructions: row reduction for ranks and
 canonical bases, null spaces for duals, row-space membership for
-containment oracles, a chunked exhaustive weight-distribution
-enumerator, and the MacWilliams transform to the dual's distribution.
-Words are held bit-sliced (Boothby-Bradshaw 2009): one mask of the
-coordinates equal to 1 and one of those equal to 2.  Every row
-reduction (``rref`` and through it ``rank``, ``row_basis``,
-``null_space`` and ``same_row_space``, and the membership test) is one
-Gauss-Jordan elimination, ``_eliminate``, on rows held as two Python-int
-masks each, which updates only the rows with a nonzero in the pivot
-column.  ``min_weight`` reads the first nonzero weight of a direct
-enumeration: it gives Gray-module distances, and the tests' oracle for
-cyclic-code distances.  ``min_combination_weight`` is the level kernel
-of the cyclic-code distance search: the least weight of the
-combinations of t rows, which the search calls on rows it has
-bit-sliced itself (``_mask_words``, ``_min_combination_weight``).  Both
-enumeration kernels hold words as uint64 masks, so a weight is a
-popcount.  Codeword lists and the skew sieve's tails come from one int8
-coefficient grid.
+containment oracles, exact weight distributions and minimum weights by
+enumeration, and the MacWilliams transform to the dual's distribution.
+
+This module alone knows the word format: a word is bit-sliced
+(Boothby-Bradshaw 2009) into one mask of its coordinates equal to 1 and
+one of those equal to 2, bit j being coordinate j, and ``_add`` is the
+one two-plane adder.  Int8 matrices are the public boundary; rows are
+held as Python-int (ones, twos) masks for elimination, and as uint64
+words for enumeration, where a weight is a popcount.  Every row
+reduction goes through ``_reduced``: pack once (``_bitsliced_masks``),
+run the one Gauss-Jordan loop (``_eliminate``), and unpack only what is
+asked for (``_unpack_masks``).  The enumeration kernels take words
+(``_mask_words``): ``_weight_distribution`` and the distance search's
+level kernel ``_min_combination_weight``, behind the int8 entry points
+``weight_distribution`` and ``min_combination_weight``.  Codeword lists
+and the skew sieve's tails come from one int8 coefficient grid.
 """
 
 from __future__ import annotations
@@ -53,8 +51,8 @@ __all__ = [
 # callers must use a directed search.
 MAX_ENUMERATION_DIM = 14
 
-# Words min_combination_weight holds at once, as many as the suffix
-# block of weight_distribution.
+# 64-coordinate limbs min_combination_weight holds at once, as many as
+# the words of the suffix block of weight_distribution when n <= 64.
 _BLOCK_WORDS = 3**9
 
 
@@ -68,46 +66,51 @@ def as_gf3(data) -> np.ndarray:
     return (arr % 3).astype(np.int8)
 
 
+def _add(a1, a2, b1, b2):
+    """The sum of the bit-sliced words (a1, a2) and (b1, b2) as (ones,
+    twos), on Python ints or on uint64 arrays.  Doubling a word (2 = -1)
+    swaps its planes."""
+    t = (a1 | b2) ^ (a2 | b1)
+    return (a2 | b2) ^ t, (a1 | b1) ^ t
+
+
 _PLANE_VALUES = np.array([1, 2], dtype=np.int8).reshape(2, 1, 1)
-
-
-def _bit_planes(a: np.ndarray) -> np.ndarray:
-    """The (2, rows, ceil(n/8)) uint8 bit planes of a reduced (rows, n)
-    GF(3) matrix, little bit order: bit j of row i is set in plane 0
-    where entry (i, j) is 1, in plane 1 where it is 2."""
-    return np.packbits(a == _PLANE_VALUES, axis=-1, bitorder="little")
 
 
 def _bitsliced_masks(a: np.ndarray) -> tuple[list[int], list[int]]:
     """The rows of a reduced GF(3) matrix as two lists of Python ints, the
     ones and twos masks: bit j of a row's mask is set where its entry j
     is 1 (ones) or 2 (twos)."""
-    ones, twos = (
-        [int.from_bytes(row, "little") for row in plane] for plane in _bit_planes(a)
-    )
+    planes = np.packbits(a == _PLANE_VALUES, axis=-1, bitorder="little")
+    ones, twos = ([int.from_bytes(r, "little") for r in plane] for plane in planes)
     return ones, twos
 
 
 def _unpack_masks(ones: list[int], twos: list[int], n: int) -> np.ndarray:
-    """The int8 (rows, n) matrix of bit-sliced rows, the inverse of
-    ``_bitsliced_masks``."""
-    width = -(-n // 8)
-    data = b"".join(m.to_bytes(width, "little") for m in ones + twos)
-    planes = np.frombuffer(data, dtype=np.uint8).reshape(2, len(ones), width)
+    """The int8 (rows, n) matrix of length-n bit-sliced rows, the inverse
+    of ``_bitsliced_masks``, read off their words."""
+    planes = _mask_words(ones, twos, n).view(np.uint8)
     bits = np.unpackbits(planes, axis=-1, count=n, bitorder="little")
     return (bits[0] + 2 * bits[1]).view(np.int8)
+
+
+def _mask_words(ones: list[int], twos: list[int], n: int) -> np.ndarray:
+    """Length-n bit-sliced rows held as Python-int masks, as the
+    (2, rows, ceil(n/64)) uint64 words of the enumeration kernels: bit j
+    of limb j // 64 of row i is set in plane 0 where entry (i, j) is 1,
+    in plane 1 where it is 2, and the bits past n are clear."""
+    width = 8 * -(-n // 64)
+    data = b"".join(m.to_bytes(width, "little") for m in ones + twos)
+    return np.frombuffer(data, dtype=np.uint64).reshape(2, len(ones), width // 8)
 
 
 def _eliminate(ones: list[int], twos: list[int], columns) -> list[int]:
     """Gauss-Jordan elimination of bit-sliced rows in place, over the given
     columns in order; returns the pivot columns.  Each pivot row is found
     by a bit test, normalised to a leading 1 by doubling it, which swaps
-    its planes (2 * 2 = 1), and subtracted only from the rows with a
-    nonzero in its column.  The sum of a and b, as planes (a1, a2) and
-    (b1, b2), is ones (a2 | b2) ^ t and twos (a1 | b1) ^ t, with
-    t = (a1 | b2) ^ (a2 | b1) (``_bitsliced_span``'s adder).  Subtracting
-    the pivot row p from a row whose entry is 1 adds 2p, whose planes are
-    p's swapped; from a row whose entry is 2 (= -1) it adds p."""
+    its planes, and subtracted only from the rows with a nonzero in its
+    column: from a row whose entry is 1 by adding 2p, p's planes swapped,
+    from one whose entry is 2 (= -1) by adding p."""
     rows = len(ones)
     pivots = []
     for c in columns:
@@ -125,6 +128,8 @@ def _eliminate(ones: list[int], twos: list[int], columns) -> list[int]:
             ones[r], twos[r] = twos[r], ones[r]
         p1, p2 = ones[r], twos[r]
         for i in range(rows):
+            # _add inlined: a call per updated row made this loop 1.14-1.20x
+            # slower on random matrices from 24x36 to 300x300 (BENCH_15.json)
             a1 = ones[i]
             if a1 & bit:
                 if i != r:
@@ -140,24 +145,29 @@ def _eliminate(ones: list[int], twos: list[int], columns) -> list[int]:
     return pivots
 
 
-def rref(matrix) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns.  The reduced matrix is
-    packed once into bit-sliced rows (``_bitsliced_masks``), eliminated
-    by ``_eliminate`` and unpacked once to int8."""
+def _reduced(matrix) -> tuple[list[int], list[int], list[int], int]:
+    """The masks of the reduced row echelon form of a matrix (zero past
+    the pivot rows), its pivot columns and its column count: the matrix
+    is packed once and eliminated by ``_eliminate``."""
     a = as_gf3(matrix)
     ones, twos = _bitsliced_masks(a)
-    pivots = _eliminate(ones, twos, range(a.shape[1]))
-    return _unpack_masks(ones, twos, a.shape[1]), tuple(pivots)
+    return ones, twos, _eliminate(ones, twos, range(a.shape[1])), a.shape[1]
+
+
+def rref(matrix) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns."""
+    ones, twos, pivots, n = _reduced(matrix)
+    return _unpack_masks(ones, twos, n), tuple(pivots)
 
 
 def rank(matrix) -> int:
-    return len(rref(matrix)[1])
+    return len(_reduced(matrix)[2])
 
 
 def row_basis(matrix) -> np.ndarray:
     """Canonical (RREF) basis of the row space, zero rows dropped."""
-    r, pivots = rref(matrix)
-    return r[: len(pivots)]
+    ones, twos, pivots, n = _reduced(matrix)
+    return _unpack_masks(ones[: len(pivots)], twos[: len(pivots)], n)
 
 
 def null_space(matrix) -> np.ndarray:
@@ -174,14 +184,13 @@ def null_space(matrix) -> np.ndarray:
 
 def row_space_contains(matrix, vectors) -> bool:
     """Whether every given vector lies in the row space of matrix: the
-    matrix's masks are eliminated once, the vectors' masks are reduced by
-    its pivot rows over the pivot columns, by the same ``_eliminate``,
-    and must vanish."""
-    a, v = as_gf3(matrix), as_gf3(vectors)
-    if v.shape[1] != a.shape[1]:
+    vectors' masks are reduced by the pivot rows of the eliminated matrix
+    over its pivot columns, by the same ``_eliminate``, and must
+    vanish."""
+    v = as_gf3(vectors)
+    ones, twos, pivots, n = _reduced(matrix)
+    if v.shape[1] != n:
         raise ValueError("column count mismatch")
-    ones, twos = _bitsliced_masks(a)
-    pivots = _eliminate(ones, twos, range(a.shape[1]))
     k = len(pivots)
     v_ones, v_twos = _bitsliced_masks(v)
     ones, twos = ones[:k] + v_ones, twos[:k] + v_twos
@@ -190,9 +199,10 @@ def row_space_contains(matrix, vectors) -> bool:
 
 
 def same_row_space(a, b) -> bool:
-    ra, pa = rref(a)
-    rb, pb = rref(b)
-    return pa == pb and np.array_equal(ra[: len(pa)], rb[: len(pb)])
+    a1, a2, pa, n = _reduced(a)
+    b1, b2, pb, m = _reduced(b)
+    k = len(pa)
+    return n == m and pa == pb and a1[:k] == b1[:k] and a2[:k] == b2[:k]
 
 
 def mat_mul(a, b) -> np.ndarray:
@@ -214,44 +224,22 @@ def _span(basis: np.ndarray) -> np.ndarray:
     return ((grid @ basis.astype(np.int64)) % 3).astype(np.int8)
 
 
-def _bitsliced_rows(basis: np.ndarray) -> np.ndarray:
-    """The rows of a (k, n) GF(3) matrix as a (2, k, ceil(n/64)) uint64
-    array: bit j of row i in plane 0 is set where entry (i, j) is 1, in
-    plane 1 where it is 2."""
-    k, n = basis.shape
-    packed = np.zeros((2, k, 8 * -(-n // 64)), dtype=np.uint8)
-    packed[..., : -(-n // 8)] = _bit_planes(basis)
-    return packed.view(np.uint64)
-
-
-def _mask_words(ones: list[int], twos: list[int], n: int) -> np.ndarray:
-    """Length-n bit-sliced rows held as Python-int masks, as the
-    (2, rows, ceil(n/64)) uint64 array of ``_bitsliced_rows``."""
-    width = 8 * -(-n // 64)
-    data = b"".join(m.to_bytes(width, "little") for m in ones + twos)
-    return np.frombuffer(data, dtype=np.uint64).reshape(2, len(ones), width // 8)
-
-
 def _bitsliced_span(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All 3^k combinations of k bit-sliced rows (a (2, k, limbs) array,
-    as from ``_bitsliced_rows``) as two (3^k, limbs) uint64 arrays, the
-    ones and twos masks, the zero word first; the last row's coefficient
-    varies slowest.  Each row triples the words built so far: the block
-    itself, the block plus the row, and the block plus twice the row."""
+    """All 3^k combinations of k rows held as words (see ``_mask_words``)
+    as two (3^k, limbs) uint64 arrays, the ones and twos masks, the zero
+    word first; the last row's coefficient varies slowest.  Each row
+    triples the words built so far: the block itself, the block plus the
+    row, and the block plus twice the row."""
     _, k, limbs = rows.shape
     ones = np.zeros((3**k, limbs), dtype=np.uint64)
     twos = np.zeros_like(ones)
     size = 1
     for i in range(k):
-        # b = (the row, twice the row) as ones and as twos masks; 2 = -1,
-        # so doubling swaps the planes.  With t = (a1 | b2) ^ (a2 | b1),
-        # a + b has ones (a2 | b2) ^ t and twos (a1 | b1) ^ t.
-        b1 = rows[:, i, None]
-        b2 = rows[::-1, i, None]
-        a1, a2 = ones[:size], twos[:size]
-        t = (a1 | b2) ^ (a2 | b1)
-        np.bitwise_xor(a2 | b2, t, out=ones[size : 3 * size].reshape(2, size, limbs))
-        np.bitwise_xor(a1 | b1, t, out=twos[size : 3 * size].reshape(2, size, limbs))
+        # (the row, twice the row) as ones planes, and reversed as twos
+        row = rows[:, i, None]
+        sum1, sum2 = _add(ones[:size], twos[:size], row, row[::-1])
+        ones[size : 3 * size] = sum1.reshape(-1, limbs)
+        twos[size : 3 * size] = sum2.reshape(-1, limbs)
         size *= 3
     return ones, twos
 
@@ -267,20 +255,25 @@ def _weights(words: np.ndarray) -> np.ndarray:
 
 
 def weight_distribution(generator) -> list[int]:
-    """Exact weight distribution [A_0, ..., A_n] of the row space, by
-    chunked full enumeration (the generator may contain dependent rows;
-    the span is what is enumerated).  At most 3^9 words are held at once:
-    a suffix block over the last nine basis rows, shifted by each prefix
-    combination of the others.  Words are bit-sliced, so a weight is a
-    popcount."""
-    basis = row_basis(generator)
-    k, n = basis.shape
+    """Exact weight distribution [A_0, ..., A_n] of the row space (the
+    generator may contain dependent rows; the span is what is
+    enumerated): ``_weight_distribution`` of its reduced basis."""
+    ones, twos, pivots, n = _reduced(generator)
+    k = len(pivots)
+    return _weight_distribution(_mask_words(ones[:k], twos[:k], n), n)
+
+
+def _weight_distribution(rows: np.ndarray, n: int) -> list[int]:
+    """``weight_distribution`` of the span of k independent length-n rows
+    held as words, by chunked full enumeration.  At most 3^9 words are
+    held at once: a suffix block over the last nine rows, shifted by each
+    prefix combination of the others."""
+    k = rows.shape[1]
     if k > MAX_ENUMERATION_DIM:
         raise ValueError(
             f"enumeration of 3^{k} codewords exceeds the 3^{MAX_ENUMERATION_DIM} limit"
         )
     k_low = min(k, 9)
-    rows = _bitsliced_rows(basis)
     ones, twos = _bitsliced_span(rows[:, k - k_low :])
     counts = np.bincount(_weights(ones | twos), minlength=n + 1)
     # A coordinate of suffix + prefix vanishes exactly where the suffix
@@ -313,31 +306,30 @@ def min_combination_weight(matrix, t: int) -> int:
     """Least Hamming weight of c_1 r_1 + ... + c_t r_t over every set of t
     distinct rows of the matrix and every nonzero coefficient vector with
     c_1 = 1 (doubling a word keeps its weight): C(k, t) 2^(t-1) words,
-    made bit-sliced, at most 3^9 at once."""
-    return _min_combination_weight(_bitsliced_rows(as_gf3(matrix)), t)
+    at most 3^9 limbs of them at once."""
+    a = as_gf3(matrix)
+    return _min_combination_weight(_mask_words(*_bitsliced_masks(a), a.shape[1]), t)
 
 
 def _min_combination_weight(rows: np.ndarray, t: int) -> int:
-    """``min_combination_weight`` of bit-sliced rows, a (2, k, limbs)
-    uint64 array.  Bit j - 2 of a pattern number picks c_j = 2."""
+    """``min_combination_weight`` of rows held as words.  Bit j - 2 of a
+    pattern number picks c_j = 2."""
     k, limbs = rows.shape[1:]
     # signed[c - 1] holds the rows times c as (ones, twos) planes
     signed = np.stack([rows, rows[::-1]])
     patterns = 1 << (t - 1)
-    step = min(patterns, _BLOCK_WORDS)
+    block = max(1, _BLOCK_WORDS // limbs)
+    step = min(patterns, block)
     subsets = itertools.combinations(range(k), t)
     minima = []
-    while chunk := list(itertools.islice(subsets, max(1, _BLOCK_WORDS // patterns))):
+    while chunk := list(itertools.islice(subsets, max(1, block // patterns))):
         chosen = np.array(chunk, dtype=np.intp)
         for start in range(0, patterns, step):
             bits = (np.arange(start, start + step)[:, None] >> np.arange(t - 1)) & 1
             ones, twos = rows[:, chosen[:, 0]]
             for j in range(1, t):
-                # the same sum as in _bitsliced_span, over (patterns, subsets)
                 b = signed[bits[:, j - 1, None], :, chosen[None, :, j]]
-                b1, b2 = b[..., 0, :], b[..., 1, :]
-                s = (ones | b2) ^ (twos | b1)
-                ones, twos = (twos | b2) ^ s, (ones | b1) ^ s
+                ones, twos = _add(ones, twos, b[..., 0, :], b[..., 1, :])
             minima.append(int(_weights((ones | twos).reshape(-1, limbs)).min()))
     # empty, and so a ValueError, when t is above the number of rows
     return min(minima)

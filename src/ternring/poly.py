@@ -32,7 +32,7 @@ from .errors import (
     SelfCheckFailed,
     ZeroPolynomial,
 )
-from .ring import _check_exponent, format_ring_poly
+from .ring import MAX_PARSED_EXPONENT, _check_exponent, format_ring_poly
 
 __all__ = [
     "Z3Poly",
@@ -290,9 +290,15 @@ class ModulusSign(Enum):
 
 
 def modulus(n: int, sign: ModulusSign) -> Z3Poly:
-    """x^n - 1 for PLUS, x^n + 1 for MINUS."""
+    """x^n - 1 for PLUS, x^n + 1 for MINUS.  Raises ``BudgetExceeded``
+    above degree ``MAX_PARSED_EXPONENT``, before the dense coefficients
+    are allocated, as the parsers refuse such a polynomial."""
     if n < 1:
         raise ValueError("length must be positive")
+    if n > MAX_PARSED_EXPONENT:
+        raise BudgetExceeded(
+            f"a modulus of degree {n} is above the budget of {MAX_PARSED_EXPONENT}"
+        )
     tail = -1 if sign is ModulusSign.PLUS else 1
     return Z3Poly([tail] + [0] * (n - 1) + [1])
 

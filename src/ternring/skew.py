@@ -14,8 +14,6 @@ with unit leading coefficient is exact, which gives:
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import (
@@ -40,10 +38,10 @@ from .rcodes import (
     gray_vector,
 )
 from .ring import (
-    ELEMENTS,
     ONE,
     RingElement,
     ZERO,
+    MAX_PARSED_EXPONENT,
     format_ring_poly,
     from_gray,
     parse_ring_poly,
@@ -222,7 +220,13 @@ def parse_skew_poly(text: str) -> SkewPoly:
 
 
 def power_minus_constant(n: int, lam) -> SkewPoly:
-    """x^n - lam."""
+    """x^n - lam.  Raises ``BudgetExceeded`` above degree
+    ``MAX_PARSED_EXPONENT``, before the dense coefficients are
+    allocated, as the parsers refuse such a polynomial."""
+    if n > MAX_PARSED_EXPONENT:
+        raise BudgetExceeded(
+            f"a modulus of degree {n} is above the budget of {MAX_PARSED_EXPONENT}"
+        )
     lam = _as_element(lam)
     return SkewPoly([-lam] + [ZERO] * (n - 1) + [ONE])
 
@@ -356,20 +360,6 @@ def _pair_division_sieve(m23: np.ndarray, tails: np.ndarray, d: int) -> np.ndarr
         ) % 3
     keep = ~np.any(rem[:, :d, :], axis=(1, 2))
     return tails[keep]
-
-
-def _monic_right_divisors_brute(n: int, lam) -> tuple[SkewPoly, ...]:
-    """Reference scan over all 27^d monic candidates (small n only)."""
-    lam = _as_element(lam)
-    m = power_minus_constant(n, lam)
-    found = []
-    for d in range(n + 1):
-        for tail in itertools.product(ELEMENTS, repeat=d):
-            cand = SkewPoly(list(tail) + [ONE])
-            if not skew_right_divmod(m, cand)[1]:
-                found.append(cand)
-    found.sort(key=SkewPoly.sort_key)
-    return tuple(found)
 
 
 # -- skew cyclic codes ------------------------------------------------------

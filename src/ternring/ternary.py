@@ -3,17 +3,18 @@
 A length-n code with generator g (a monic divisor of x^n -+ 1) has
 dimension k = n - deg g, generator matrix rows x^i * g for i < k,
 dual generator equal to the monic reciprocal of (modulus / g), and a
-divisibility-based membership test.  The weight distribution is exact:
-the smaller of the code and its dual (dimension at most 14) is fully
-enumerated by ``gf3linalg.weight_distribution`` on bit-sliced words,
-whose weights are popcounts, and the dual side is carried over by the
-MacWilliams transform.  Minimum Hamming distance has one exact engine
-for every k: a Brouwer-Zimmermann search on the information set
-0..k-1, which the cyclic (or negacyclic) shift makes sufficient on its
-own.  Its systematic matrix [I_k | P] is built without elimination:
-row j is x^j + x^k s_j, s_j being the remainder of -x^(j-k) modulo g
-(systematic encoding by division), and the same remainder recurrence
-carried on to -x^(-n) checks that g divides the modulus.
+divisibility-based membership test.
+
+Both exact invariants start from the systematic matrix [I_k | P], built
+without elimination: row j is x^j + x^k s_j, s_j being the remainder of
+-x^(j-k) modulo g (systematic encoding by division), and the same
+recurrence carried on to -x^(-n) checks that g divides the modulus.  Its
+rows go as bit-sliced words to the kernels of ``gf3linalg``, which owns
+that format.  The weight distribution enumerates the smaller of the code
+and its dual (dimension at most 14), the dual side carried over by the
+MacWilliams transform.  Minimum Hamming distance has one exact engine for
+every k: a Brouwer-Zimmermann search on the information set 0..k-1, which
+the cyclic (or negacyclic) shift makes sufficient on its own.
 ``gf3linalg.min_weight`` on the generator matrix and the weight
 distribution serve the tests as independent oracles.
 """
@@ -37,9 +38,11 @@ from .poly import ModulusSign, Z3Poly, modulus
 
 __all__ = ["TernaryPolyCode", "MAX_DISTANCE_WORDS"]
 
-# Candidate words one distance search may enumerate.  The costliest
-# divisor code with n <= 48 needs 5,080,816 (a [46, 24, 13] code, 0.26 s);
-# the search makes about 2e7 words a second for n <= 64.
+# Candidate words one distance search may enumerate, counted in
+# 64-coordinate limbs (words times ceil(n/64)), so that the budget also
+# bounds memory at any length.  The costliest divisor code with n <= 48
+# needs 5,080,816 (a [46, 24, 13] code, 0.26 s); the search makes about
+# 2e7 words a second for n <= 64.
 MAX_DISTANCE_WORDS = 30_000_000
 
 
@@ -141,28 +144,29 @@ class TernaryPolyCode:
         return not (Z3Poly(vec.tolist()) % self.g)
 
     def weight_distribution(self) -> list[int]:
-        """Exact [A_0, ..., A_n]: the smaller of C and C^perp is
-        enumerated, and when that is the dual, A(C) comes from the
-        MacWilliams transform of its distribution.  Raises ValueError
-        when both dimensions exceed the enumeration cap."""
-        if self.k <= self.n - self.k:
-            return gf3linalg.weight_distribution(self.generator_matrix())
-        dual = self.dual()
-        return gf3linalg.macwilliams_transform(
-            gf3linalg.weight_distribution(dual.generator_matrix()), dual.k
-        )
+        """Exact [A_0, ..., A_n]: the systematic rows of the smaller of C
+        and C^perp are enumerated, and when that is the dual, A(C) comes
+        from the MacWilliams transform of its distribution.  Raises
+        ValueError when both dimensions exceed the enumeration cap."""
+        small = self if self.k <= self.n - self.k else self.dual()
+        dist = gf3linalg._weight_distribution(small._systematic_words(), self.n)
+        if small is self:
+            return dist
+        return gf3linalg.macwilliams_transform(dist, small.k)
+
+    def _systematic_words(self) -> np.ndarray:
+        """``_systematic_masks`` as the words of the enumeration kernels."""
+        return gf3linalg._mask_words(*self._systematic_masks(), self.n)
 
     def _systematic_masks(self) -> tuple[list[int], list[int]]:
-        """The rows of the systematic generator matrix [I_k | P] as
-        bit-sliced (ones, twos) masks, bit j being coordinate j, read off
-        the remainders of powers of x modulo g (systematic encoding by
-        division).  Row j is x^j + x^k s_j, with s_j = -x^(j-k) mod g:
-        from s_k = -1, each s is the last one divided by x mod g, by
-        adding the multiple of g that clears its constant term and
-        shifting right.  Carried on to s_(k-n) = -x^(-n) mod g, the
-        recurrence ends at the constant 2 exactly when g divides x^n - 1
-        and at 1 when it divides x^n + 1; any other end raises
-        ``SelfCheckFailed``."""
+        """The rows of [I_k | P] as bit-sliced (ones, twos) masks, read
+        off the remainders of powers of x modulo g.  Row j is
+        x^j + x^k s_j, with s_j = -x^(j-k) mod g: from s_k = -1, each s is
+        the last one divided by x mod g, by adding the multiple of g that
+        clears its constant term and shifting right.  Carried on to
+        s_(k-n) = -x^(-n) mod g, the recurrence ends at the constant 2
+        exactly when g divides x^n - 1 and at 1 when it divides x^n + 1;
+        any other end raises ``SelfCheckFailed``."""
         n, k, coeffs = self.n, self.k, self.g.coeffs
         g1 = sum(1 << i for i, c in enumerate(coeffs) if c == 1)
         g2 = sum(1 << i for i, c in enumerate(coeffs) if c == 2)
@@ -172,11 +176,10 @@ class TernaryPolyCode:
         ones, twos = [0] * k, [0] * k
         s1, s2 = 0, 1
         for j in range(k - 1, k - n - 1, -1):
-            if s1 & 1 or s2 & 1:
-                # s + a or s - a, by the adder of gf3linalg._eliminate
-                b1, b2 = (a1, a2) if s1 & 1 else (a2, a1)
-                t = (s1 | b2) ^ (s2 | b1)
-                s1, s2 = (s2 | b2) ^ t, (s1 | b1) ^ t
+            if s1 & 1:
+                s1, s2 = gf3linalg._add(s1, s2, a1, a2)
+            elif s2 & 1:
+                s1, s2 = gf3linalg._add(s1, s2, a2, a1)
             s1, s2 = s1 >> 1, s2 >> 1
             if j >= 0:
                 ones[j] = (1 << j) | (s1 << k)
@@ -199,20 +202,24 @@ class TernaryPolyCode:
         Once levels below t are done, every word lighter than best has had
         such a shift seen when (best - 1) k < t n, and the search stops.
         Raises ``BudgetExceeded`` before a level that would take the
-        candidate count above ``MAX_DISTANCE_WORDS``."""
+        candidate count, in limbs, above ``MAX_DISTANCE_WORDS``; level 1
+        is the systematic matrix itself, so it is checked before the
+        matrix is built."""
         if self.k == 0:
             raise ZeroCode("the zero code has no nonzero codeword")
         n, k = self.n, self.k
-        systematic = gf3linalg._mask_words(*self._systematic_masks(), n)
         best, words = n + 1, 0
         for t in range(1, k + 1):
             if (best - 1) * k < t * n:
                 break
-            words += comb(k, t) << (t - 1)
+            words += (comb(k, t) << (t - 1)) * -(-n // 64)
             if words > MAX_DISTANCE_WORDS:
                 raise BudgetExceeded(
                     f"the distance of a [{n}, {k}] code needs more than "
-                    f"{MAX_DISTANCE_WORDS} candidate words by level t = {t}"
+                    f"{MAX_DISTANCE_WORDS} candidate words of 64 coordinates "
+                    f"by level t = {t}"
                 )
+            if t == 1:
+                systematic = self._systematic_words()
             best = min(best, gf3linalg._min_combination_weight(systematic, t))
         return best

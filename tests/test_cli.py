@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -34,14 +35,20 @@ def run_json(*argv):
     return code, json.loads(out), err
 
 
-def run_module(*argv, python_flags=()):
-    """Run the CLI in a fresh interpreter on this checkout's package."""
+def run_module(*argv, python_flags=(), address_space=None):
+    """Run the CLI in a fresh interpreter on this checkout's package, with
+    its address space limited to the given bytes, if any."""
     src = str(Path(ternring.__file__).resolve().parents[1])
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
         [sys.executable, *python_flags, "-m", "ternring.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=limit if address_space else None,
     )
 
 
@@ -443,6 +450,10 @@ class TestSelftest:
         assert "0 failures" in out
 
 
+HUGE = str(10**9)
+ONES = ("--f1", "1", "--f2", "1", "--f3", "1")
+
+
 class TestUsage:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as err:
@@ -566,6 +577,49 @@ class TestUsage:
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["error"] == "BudgetExceeded"
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("factor", "--n", HUGE, "--sign", "pos"),
+            ("code", "build", "--n", HUGE, "--sign", "pos", *ONES),
+            ("constacyclic", "transport", "--n", HUGE, "--lambda", "2", *ONES),
+            # 10^9 is even, which the count refuses first
+            ("skew", "count", "--n", str(10**9 + 1)),
+            ("skew", "divisors", "--s", HUGE, "--lambda", "1"),
+            ("skew", "gcld", "--s", HUGE, "--lambda", "1", "x+1"),
+            ("quantum", "params", "--n", HUGE, "--sign", "pos", *ONES),
+            ("quantum", "scan", "--n", HUGE, "--sign", "pos"),
+        ],
+    )
+    def test_huge_modulus_exits_one_without_traceback(self, argv):
+        # x^n -+ 1 and x^s - lam are refused before they are allocated
+        start = time.perf_counter()
+        proc = run_module("--json", *argv, address_space=2**31)
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"] == "BudgetExceeded"
+        assert "Traceback" not in proc.stderr
+
+    def test_distance_budget_bounds_memory_at_any_length(self):
+        # the budget counts 64-coordinate limbs: level 1 of a full code of
+        # length 10^5 is 10^5 words of 1563 limbs, refused before the
+        # systematic matrix is built; length 10^4 still runs
+        start = time.perf_counter()
+        proc = run_module(
+            "code", "distance", "--n", "100000", "--sign", "pos", *ONES,
+            address_space=2**31,
+        )
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 1
+        assert "BudgetExceeded" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        proc = run_module(
+            "code", "distance", "--n", "10000", "--sign", "pos", *ONES,
+            address_space=2**31,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("d_lee = 1 ")
 
     def test_zero_limit_is_allowed(self):
         code, doc, _ = run_json("quantum", "scan", "--n", "4", "--sign", "pos", "--limit", "0")

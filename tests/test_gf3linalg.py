@@ -129,6 +129,14 @@ class TestElimination:
         for v in np.vstack([near, rng.integers(0, 3, size=(2, cols))]):
             assert gf3linalg.row_space_contains(m, v) == (tuple(v % 3) in span)
 
+    def test_rank_unpacks_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("rank unpacked its masks")
+
+        monkeypatch.setattr(gf3linalg, "_unpack_masks", refuse)
+        assert gf3linalg.rank(TETRACODE + [[1, 1, 2, 0], [0, 0, 0, 0]]) == 2
+        assert gf3linalg.rank(np.zeros((0, 5))) == 0
+
     def test_column_count_mismatch_is_refused(self):
         with pytest.raises(ValueError):
             gf3linalg.row_space_contains(TETRACODE, [[1, 0, 1]])
@@ -227,6 +235,41 @@ class TestCoefficientGrid:
             assert np.array_equal(grid, expected), k
 
 
+def unpack_words(ones, twos, n):
+    """The int8 words of (count, limbs) uint64 ones and twos planes,
+    checking that the bits past n are clear."""
+    ones_bits, twos_bits = (
+        np.unpackbits(plane.view(np.uint8), axis=1, bitorder="little")
+        for plane in (ones, twos)
+    )
+    assert not ones_bits[:, n:].any() and not twos_bits[:, n:].any()
+    return (ones_bits[:, :n] + 2 * twos_bits[:, :n]).astype(np.int8)
+
+
+class TestAdder:
+    @given(
+        st.integers(1, 130) | st.sampled_from([63, 64, 65, 128, 129]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_sum_of_masks_and_of_words_is_the_sum_mod_3(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.integers(0, 3, size=(2, 5, n)).astype(np.int8)
+        a1, a2 = gf3linalg._bitsliced_masks(a)
+        b1, b2 = gf3linalg._bitsliced_masks(b)
+        expected = (a + b) % 3
+        # Python-int masks, one row at a time
+        ones, twos = zip(*map(gf3linalg._add, a1, a2, b1, b2))
+        assert np.array_equal(gf3linalg._unpack_masks([*ones], [*twos], n), expected)
+        # uint64 words, all rows at once
+        wa, wb = gf3linalg._mask_words(a1, a2, n), gf3linalg._mask_words(b1, b2, n)
+        words = unpack_words(*gf3linalg._add(*wa, *wb), n)
+        assert np.array_equal(words, expected)
+        # swapping the planes doubles a word, so a + a has a's planes swapped
+        assert np.array_equal(gf3linalg._unpack_masks(a2, a1, n), 2 * a % 3)
+        assert [*map(gf3linalg._add, a1, a2, a1, a2)] == [*zip(a2, a1)]
+        assert np.array_equal(unpack_words(*gf3linalg._add(*wa, *wa), n), 2 * a % 3)
+
+
 class TestBitslicedSpan:
     @pytest.mark.parametrize("n", [1, 5, 64, 70])
     def test_unpacks_to_the_int8_span(self, n):
@@ -235,15 +278,9 @@ class TestBitslicedSpan:
         rng = np.random.default_rng(n)
         for k in range(5):
             basis = rng.integers(0, 3, size=(k, n)).astype(np.int8)
-            ones, twos = gf3linalg._bitsliced_span(gf3linalg._bitsliced_rows(basis))
-            ones_bits, twos_bits = (
-                np.unpackbits(plane.view(np.uint8), axis=1, bitorder="little")
-                for plane in (ones, twos)
-            )
-            words = (ones_bits[:, :n] + 2 * twos_bits[:, :n]).astype(np.int8)
+            rows = gf3linalg._mask_words(*gf3linalg._bitsliced_masks(basis), n)
+            words = unpack_words(*gf3linalg._bitsliced_span(rows), n)
             assert np.array_equal(words, gf3linalg._span(basis[::-1])), (n, k)
-            # padding bits past n stay clear
-            assert not ones_bits[:, n:].any() and not twos_bits[:, n:].any(), (n, k)
 
 
 class TestMacWilliams:

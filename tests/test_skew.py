@@ -65,9 +65,23 @@ from ternring.skew import (
     skew_right_divmod,
     vector_to_polys,
 )
-from ternring.skew import MAX_MODULE_LENGTH, _mirror, _monic_right_divisors_brute
+from ternring.skew import MAX_MODULE_LENGTH, _mirror
 
 P = parse_skew_poly
+
+
+def monic_right_divisors_brute(n, lam):
+    """Reference scan over all 27^d monic candidates of every degree d <= n
+    (small n only), in canonical order: the oracle of the sieve."""
+    m = power_minus_constant(n, lam)
+    found = []
+    for d in range(n + 1):
+        for tail in itertools.product(ELEMENTS, repeat=d):
+            cand = SkewPoly(list(tail) + [ONE])
+            if not skew_right_divmod(m, cand)[1]:
+                found.append(cand)
+    found.sort(key=SkewPoly.sort_key)
+    return tuple(found)
 E = parse_element
 
 RNG = random.Random(20260815)
@@ -223,7 +237,9 @@ class TestRightDivisors:
     def test_scan_matches_brute_force(self):
         for s in (2, 3):
             for lam in UNITS:
-                assert monic_right_divisors(s, lam) == _monic_right_divisors_brute(s, lam)
+                assert monic_right_divisors(s, lam) == (
+                    monic_right_divisors_brute(s, lam)
+                )
 
     def test_divisor_counts(self):
         assert len(monic_right_divisors(3, 1)) == 4

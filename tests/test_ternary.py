@@ -449,18 +449,34 @@ class TestWeightDistribution:
         ]
         assert code(4, PLUS, "x^4+2").weight_distribution() == [1, 0, 0, 0, 0]
 
+    def test_distribution_builds_no_generator_matrix(self, monkeypatch):
+        # the systematic rows go straight to the enumeration kernel, on
+        # the code's side (k <= n - k) and on the dual's
+        c = code(10, MINUS, "x^4+x^3+2x+1")
+        codes = [c, c.dual()]
+        assert [c.k <= c.n - c.k for c in codes] == [False, True]
+        expected = [_weights_by_bincount(c) for c in codes]
+
+        def refuse(*args):
+            raise AssertionError("weight_distribution eliminated a matrix")
+
+        monkeypatch.setattr(TernaryPolyCode, "generator_matrix", refuse)
+        monkeypatch.setattr(gf3linalg, "rref", refuse)
+        monkeypatch.setattr(gf3linalg, "_eliminate", refuse)
+        assert [c.weight_distribution() for c in codes] == expected
+
     def test_macwilliams_mismatch_raises(self, monkeypatch):
         # a corrupted dual-side count cannot pass the transform's checks
         c = code(10, MINUS, "x^4+x^3+2x+1")
         assert c.k > c.n - c.k
-        real = gf3linalg.weight_distribution
+        real = gf3linalg._weight_distribution
 
-        def corrupted(generator):
-            dist = real(generator)
+        def corrupted(rows, n):
+            dist = real(rows, n)
             dist[-1] += 1
             return dist
 
-        monkeypatch.setattr(gf3linalg, "weight_distribution", corrupted)
+        monkeypatch.setattr(gf3linalg, "_weight_distribution", corrupted)
         with pytest.raises(SelfCheckFailed):
             c.weight_distribution()
         # the distance search reads no weight distribution

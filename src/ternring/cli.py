@@ -28,9 +28,8 @@ import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import TernringError
+from .gf3linalg import np
 from .poly import ModulusSign, factor, modulus, parse_poly
 from .quantum import (
     EXPECTED_FLAGS,
@@ -204,7 +203,10 @@ def cmd_code_dual(args) -> CommandResult:
 
 def cmd_code_gray(args) -> CommandResult:
     code = _rcode(args)
-    rows = ["".join(str(int(x)) for x in row) for row in code.gray_image()]
+    # the entries 0, 1, 2 as the digits' character codes
+    text = (code.gray_image() + ord("0")).tobytes().decode()
+    width = 3 * code.n
+    rows = [text[i : i + width] for i in range(0, len(text), width)]
     return CommandResult({"n": code.n, "rows": rows}, rows or ["(zero code)"])
 
 

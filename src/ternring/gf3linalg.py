@@ -19,6 +19,13 @@ asked for (``_unpack_masks``).  The enumeration kernels take words
 level kernel ``_min_combination_weight``, behind the int8 entry points
 ``weight_distribution`` and ``min_combination_weight``.  Codeword lists
 and the skew sieve's tails come from one int8 coefficient grid.
+Berlekamp's kernel (``poly``) stays on masks: ``_left_kernel`` runs
+``_eliminate`` on the rows of [A | I] and builds no array.
+
+numpy is first imported here, on first use: every module of the package
+uses the handle ``np`` below in its place, which loads numpy when an
+array is first built or read, so ``import ternring`` and the commands
+that build no array (``factor``, for one) run without it.
 """
 
 from __future__ import annotations
@@ -26,8 +33,6 @@ from __future__ import annotations
 import functools
 import itertools
 from math import comb
-
-import numpy as np
 
 from .errors import SelfCheckFailed
 
@@ -56,6 +61,21 @@ MAX_ENUMERATION_DIM = 14
 _BLOCK_WORDS = 3**9
 
 
+class _Numpy:
+    """numpy, imported on the first attribute read and from then on read
+    from this object's own attributes."""
+
+    def __getattr__(self, name):
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy()
+
+
 def as_gf3(data) -> np.ndarray:
     """A fresh 2-D int8 array reduced mod 3."""
     arr = np.array(data, dtype=np.int64, copy=True)
@@ -74,14 +94,16 @@ def _add(a1, a2, b1, b2):
     return (a2 | b2) ^ t, (a1 | b1) ^ t
 
 
-_PLANE_VALUES = np.array([1, 2], dtype=np.int8).reshape(2, 1, 1)
+@functools.cache
+def _plane_values() -> np.ndarray:
+    return np.array([1, 2], dtype=np.int8).reshape(2, 1, 1)
 
 
 def _bitsliced_masks(a: np.ndarray) -> tuple[list[int], list[int]]:
     """The rows of a reduced GF(3) matrix as two lists of Python ints, the
     ones and twos masks: bit j of a row's mask is set where its entry j
     is 1 (ones) or 2 (twos)."""
-    planes = np.packbits(a == _PLANE_VALUES, axis=-1, bitorder="little")
+    planes = np.packbits(a == _plane_values(), axis=-1, bitorder="little")
     ones, twos = ([int.from_bytes(r, "little") for r in plane] for plane in planes)
     return ones, twos
 
@@ -143,6 +165,44 @@ def _eliminate(ones: list[int], twos: list[int], columns) -> list[int]:
                     ones[i], twos[i] = (a2 | p2) ^ t, (a1 | p1) ^ t
         pivots.append(c)
     return pivots
+
+
+def _left_kernel(
+    ones: list[int], twos: list[int], n: int
+) -> tuple[list[int], list[int], int]:
+    """A basis of the left kernel {h : hA = 0} of the matrix A whose rows
+    are the given length-n bit-sliced rows, as masks over A's rows, and
+    the rank of A.  [A | I] is eliminated over A's columns by
+    ``_eliminate``: the rows that vanish there hold their combination h
+    of A's rows in the identity half.  The given lists are not changed."""
+    ones = [a | 1 << (n + i) for i, a in enumerate(ones)]
+    twos = list(twos)
+    rank = len(_eliminate(ones, twos, range(n)))
+    return [a >> n for a in ones[rank:]], [a >> n for a in twos[rank:]], rank
+
+
+def _combination(h1: int, h2: int, ones: list[int], twos: list[int]) -> tuple[int, int]:
+    """The sum of h_i times row i over bit-sliced rows, h being the
+    bit-sliced word (h1, h2) over the row indices."""
+    s1 = s2 = 0
+    for i, (a1, a2) in enumerate(zip(ones, twos)):
+        if h1 >> i & 1:
+            s1, s2 = _add(s1, s2, a1, a2)
+        elif h2 >> i & 1:
+            s1, s2 = _add(s1, s2, a2, a1)
+    return s1, s2
+
+
+def _row_masks(entries) -> tuple[int, int]:
+    """The (ones, twos) masks of one row of entries in 0..2."""
+    ones = sum(1 << j for j, c in enumerate(entries) if c == 1)
+    twos = sum(1 << j for j, c in enumerate(entries) if c == 2)
+    return ones, twos
+
+
+def _row_entries(ones: int, twos: int, n: int) -> list[int]:
+    """The n entries of one bit-sliced row, the inverse of ``_row_masks``."""
+    return [(ones >> j & 1) + 2 * (twos >> j & 1) for j in range(n)]
 
 
 def _reduced(matrix) -> tuple[list[int], list[int], list[int], int]:

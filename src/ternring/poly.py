@@ -12,6 +12,11 @@ characteristic 3), then Berlekamp's algorithm (Knuth, TAOCP vol. 2,
 one GF(3) kernel, then gcds.  Output is always the canonically sorted
 list of monic irreducible factors with multiplicities, so two runs - or
 two different correct algorithms - print the same thing.
+
+Berlekamp's matrix is held as bit-sliced Python-int rows
+(Boothby-Bradshaw 2009) and its kernel found by ``gf3linalg``'s
+elimination on them, so this module never imports numpy (see
+``gf3linalg``, where it is first imported).
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from . import gf3linalg
 from .errors import (
@@ -46,9 +49,11 @@ __all__ = [
     "divisors_of_modulus",
 ]
 
-# Largest squarefree part factor() splits: its Berlekamp matrix has
-# degree^2 int8 entries; degree 2000 takes about 14 s and 103 MB on a
-# 2-vCPU x86_64 machine.
+# Largest squarefree part factor() splits.  Its Berlekamp matrix is
+# degree bit-sliced rows, 2 x degree bits wide with the identity half
+# (about 2 MB at degree 2000).  `factor --n 2000 --sign pos` takes 3.6 s
+# and `--n 1996` 4.0-4.3 s, most of it in the gcd splitting, and either
+# process peaks at 21 MB on a 2-vCPU x86_64 machine.
 MAX_BERLEKAMP_DEGREE = 2000
 
 
@@ -372,18 +377,26 @@ def _cube_root(f: Z3Poly) -> Z3Poly:
     return Z3Poly(f.coeffs[::3])
 
 
-def _frobenius_rows(w: Z3Poly) -> np.ndarray:
-    """Row i holds the coefficients of x^(3i) mod w, for 0 <= i < deg w."""
+def _frobenius_rows(w: Z3Poly) -> tuple[list[int], list[int]]:
+    """Row i of Berlekamp's matrix Q, the coefficients of x^(3i) mod w
+    for 0 <= i < deg w, as bit-sliced (ones, twos) masks: each row is the
+    one before shifted up by 3, its terms of degree deg w + k (k < 3)
+    folded back in as multiples of x^(deg w + k) mod w."""
     n = w.degree
-    # x^n, x^(n+1), x^(n+2) mod w, for the top terms of a row times x^3
-    wrap = [((Z3Poly.monomial(n + k) % w).coeffs + (0,) * n)[:n] for k in range(3)]
-    wrap = np.array(wrap, dtype=np.int8)
-    rows = np.zeros((n, n), dtype=np.int8)
-    rows[0, 0] = 1
-    for i in range(1, n):
-        shifted = np.concatenate(([0, 0, 0], rows[i - 1]))
-        rows[i] = (shifted[:n] + shifted[n:] @ wrap) % 3
-    return rows
+    wraps = [gf3linalg._row_masks((Z3Poly.monomial(n + k) % w).coeffs) for k in range(3)]
+    low = (1 << n) - 1
+    ones, twos = [1], [0]
+    for _ in range(1, n):
+        a1, a2 = ones[-1] << 3, twos[-1] << 3
+        for k, (w1, w2) in enumerate(wraps):
+            bit = 1 << (n + k)
+            if a1 & bit:
+                a1, a2 = gf3linalg._add(a1, a2, w1, w2)
+            elif a2 & bit:
+                a1, a2 = gf3linalg._add(a1, a2, w2, w1)
+        ones.append(a1 & low)
+        twos.append(a2 & low)
+    return ones, twos
 
 
 def _berlekamp_split(w: Z3Poly) -> list[Z3Poly]:
@@ -396,23 +409,27 @@ def _berlekamp_split(w: Z3Poly) -> list[Z3Poly]:
             f"a squarefree part of degree {w.degree} is above the budget of "
             f"{MAX_BERLEKAMP_DEGREE} for its Berlekamp matrix"
         )
-    q = _frobenius_rows(w)
-    q[np.diag_indices_from(q)] -= 1  # Q - I; null_space reduces mod 3
-    kernel = gf3linalg.null_space(q.T)
-    # the kernel's size from a second elimination, of Q - I itself: a
-    # kernel that lost a row can still split into as many factors as it
-    # has rows
-    dimension = w.degree - gf3linalg.rank(q)
-    if len(kernel) != dimension:
+    n = w.degree
+    ones, twos = _frobenius_rows(w)
+    for i in range(n):  # Q - I: x^i taken off row i
+        ones[i], twos[i] = gf3linalg._add(ones[i], twos[i], 0, 1 << i)
+    kernel_ones, kernel_twos, rank = gf3linalg._left_kernel(ones, twos, n)
+    kernel = list(zip(kernel_ones, kernel_twos))
+    if len(kernel) != n - rank:
         raise SelfCheckFailed(
             f"Berlekamp kernel of {w} has {len(kernel)} rows, not "
-            f"deg - rank(Q - I) = {dimension}"
+            f"deg - rank(Q - I) = {n - rank}"
         )
+    # the rank comes from the elimination that found the kernel, so each
+    # row is also checked against Q - I itself
+    for h1, h2 in kernel:
+        if gf3linalg._combination(h1, h2, ones, twos) != (0, 0):
+            raise SelfCheckFailed(f"a Berlekamp kernel row of {w} is not in the kernel")
     factors = [w]
-    for row in kernel:
+    for h1, h2 in kernel:
         if len(factors) == len(kernel):
             break
-        h = Z3Poly(row.tolist())
+        h = Z3Poly(gf3linalg._row_entries(h1, h2, n))
         split = []
         for g in factors:
             r = h % g  # a constant when g is irreducible

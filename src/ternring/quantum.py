@@ -26,9 +26,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BudgetExceeded, NotDualContaining, SelfCheckFailed
+from .gf3linalg import np
 from .poly import ModulusSign, Z3Poly, factor, modulus, parse_poly
 from .rcodes import RCode
 from .ternary import TernaryPolyCode

@@ -14,8 +14,6 @@ with unit leading coefficient is exact, which gives:
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import (
     BudgetExceeded,
     EvenLength,
@@ -26,7 +24,7 @@ from .errors import (
     SelfCheckFailed,
     ZeroPolynomial,
 )
-from .gf3linalg import _coefficient_grid
+from .gf3linalg import _coefficient_grid, np
 from .poly import ModulusSign, factor, modulus
 from .rcodes import (
     GrayModule,

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from math import comb
 
-import numpy as np
-
 from . import gf3linalg
 from .errors import (
     BudgetExceeded,
@@ -34,6 +32,7 @@ from .errors import (
     ZeroCode,
     ZeroPolynomial,
 )
+from .gf3linalg import np
 from .poly import ModulusSign, Z3Poly, modulus
 
 __all__ = ["TernaryPolyCode", "MAX_DISTANCE_WORDS"]
@@ -168,8 +167,7 @@ class TernaryPolyCode:
         exactly when g divides x^n - 1 and at 1 when it divides x^n + 1;
         any other end raises ``SelfCheckFailed``."""
         n, k, coeffs = self.n, self.k, self.g.coeffs
-        g1 = sum(1 << i for i, c in enumerate(coeffs) if c == 1)
-        g2 = sum(1 << i for i, c in enumerate(coeffs) if c == 2)
+        g1, g2 = gf3linalg._row_masks(coeffs)
         # (a1, a2): the multiple of g with constant term 2, g(0) being its
         # own inverse; -a has the planes swapped
         a1, a2 = (g2, g1) if coeffs[0] == 1 else (g1, g2)

@@ -621,6 +621,18 @@ class TestUsage:
         assert proc.returncode == 0
         assert proc.stdout.startswith("d_lee = 1 ")
 
+    def test_gray_budget_refuses_before_the_image(self):
+        # the full code of length 5000 has a 15000 x 15000 Gray image
+        start = time.perf_counter()
+        proc = run_module(
+            "--json", "code", "gray", "--n", "5000", "--sign", "pos", *ONES,
+            address_space=2**31,
+        )
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"] == "BudgetExceeded"
+        assert "Traceback" not in proc.stderr
+
     def test_zero_limit_is_allowed(self):
         code, doc, _ = run_json("quantum", "scan", "--n", "4", "--sign", "pos", "--limit", "0")
         assert code == 0

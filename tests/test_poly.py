@@ -382,17 +382,25 @@ class TestBerlekamp:
         assert [p.degree for p, _ in fz.factors] == [2, 52, 52]
 
     def test_frobenius_rows(self):
-        w = P("x^5+2x+1")
-        rows = poly._frobenius_rows(w)
-        for i, row in enumerate(rows):
-            assert Z3Poly(row.tolist()) == Z3Poly.monomial(3 * i) % w
+        for w in (P("x+2"), P("x^2+1"), P("x^5+2x+1"), modulus(31, ModulusSign.MINUS)):
+            ones, twos = poly._frobenius_rows(w)
+            assert len(ones) == len(twos) == w.degree
+            for i, (a1, a2) in enumerate(zip(ones, twos)):
+                want = (Z3Poly.monomial(3 * i) % w).coeffs
+                assert a1 == sum(1 << j for j, c in enumerate(want) if c == 1)
+                assert a2 == sum(1 << j for j, c in enumerate(want) if c == 2)
 
     def test_lost_kernel_row_is_caught(self, monkeypatch):
-        # x^3 - x = x(x+1)(x+2) has the kernel 1, x, x^2.  Without the
-        # constant row the kernel claims two factors, but x alone
-        # separates all three.
-        full = gf3linalg.null_space
-        monkeypatch.setattr(gf3linalg, "null_space", lambda m: full(m)[1:])
+        # x^3 - x = x(x+1)(x+2) has a kernel of three rows.  Without its
+        # first row the kernel claims two factors, though one row may
+        # separate all three.
+        full = gf3linalg._left_kernel
+
+        def without_first_row(ones, twos, n):
+            kernel_ones, kernel_twos, rank = full(ones, twos, n)
+            return kernel_ones[1:], kernel_twos[1:], rank
+
+        monkeypatch.setattr(gf3linalg, "_left_kernel", without_first_row)
         with pytest.raises(SelfCheckFailed):
             factor(P("x^3+2x"))
 
@@ -401,19 +409,53 @@ class TestBerlekamp:
     )
     def test_lost_kernel_row_is_caught_for_every_modulus(self, monkeypatch, lost):
         # The factor count alone missed a lost row for about 73 of these
-        # 120 moduli; the rank of Q - I catches every one.  A one-row
+        # 120 moduli; deg - rank(Q - I) catches every one.  A one-row
         # kernel has no second row and loses its only row instead.
-        full = gf3linalg.null_space
+        full = gf3linalg._left_kernel
 
-        def without_a_row(m):
-            kernel = full(m)
-            return np.delete(kernel, min(lost, len(kernel) - 1) % len(kernel), axis=0)
+        def without_a_row(ones, twos, n):
+            kernel_ones, kernel_twos, rank = full(ones, twos, n)
+            i = min(lost, len(kernel_ones) - 1) % len(kernel_ones)
+            del kernel_ones[i], kernel_twos[i]
+            return kernel_ones, kernel_twos, rank
 
-        monkeypatch.setattr(gf3linalg, "null_space", without_a_row)
+        monkeypatch.setattr(gf3linalg, "_left_kernel", without_a_row)
         for n in range(1, 61):
             for sign in ModulusSign:
                 with pytest.raises(SelfCheckFailed):
                     factor(modulus(n, sign))
+
+    def test_kernel_row_outside_the_kernel_is_caught(self, monkeypatch):
+        # e_j is in the left kernel exactly when row j of Q - I is zero, so
+        # adding e_j for a nonzero row j takes the first kernel row out of
+        # the kernel while the row count still matches the rank
+        full = gf3linalg._left_kernel
+        corrupted = []
+
+        def with_a_wrong_row(ones, twos, n):
+            kernel_ones, kernel_twos, rank = full(ones, twos, n)
+            j = next((i for i in range(n) if ones[i] | twos[i]), None)
+            if j is not None:
+                kernel_ones[0], kernel_twos[0] = gf3linalg._add(
+                    kernel_ones[0], kernel_twos[0], 1 << j, 0
+                )
+                corrupted.append(n)
+            return kernel_ones, kernel_twos, rank
+
+        monkeypatch.setattr(gf3linalg, "_left_kernel", with_a_wrong_row)
+        caught = 0
+        for n in range(1, 61):
+            for sign in ModulusSign:
+                corrupted.clear()
+                try:
+                    factor(modulus(n, sign))
+                except SelfCheckFailed:
+                    caught += 1
+                else:
+                    assert not corrupted, (n, sign)
+        # the 12 moduli whose squarefree parts split into linear factors
+        # alone (Q = I), such as x^6 - 1, have no row to corrupt
+        assert caught == 108
 
     def test_budget_bounds_the_squarefree_part(self, monkeypatch):
         monkeypatch.setattr(poly, "MAX_BERLEKAMP_DEGREE", 10)

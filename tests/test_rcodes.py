@@ -7,8 +7,10 @@ import random
 import numpy as np
 import pytest
 
+from ternring import rcodes
 from ternring.errors import (
     BadFactorization,
+    BudgetExceeded,
     EvenLength,
     LengthMismatch,
     MixedModuli,
@@ -294,6 +296,15 @@ class TestRCode:
         assert not np.any(m[:4, 6:])
         assert not np.any(m[4:6, :6]) and not np.any(m[4:6, 12:])
         assert not np.any(m[6:, :12])
+
+    def test_gray_image_budget_counts_entries(self, monkeypatch):
+        # 12 rows of 18 entries: built at a budget of 216, refused below
+        c = RCode.cyclic(6, [P("x^2+2"), P("x^4+x^2+1"), P("1")])
+        monkeypatch.setattr(rcodes, "MAX_GRAY_ENTRIES", 216)
+        assert c.gray_image().shape == (12, 18)
+        monkeypatch.setattr(rcodes, "MAX_GRAY_ENTRIES", 215)
+        with pytest.raises(BudgetExceeded):
+            c.gray_image()
 
     def test_membership_and_codewords(self):
         f = [E("1"), E("1+2v+2v^2"), E("2v+2v^2")]

@@ -14,9 +14,14 @@ held as Python-int (ones, twos) masks for elimination, and as uint64
 words for enumeration, where a weight is a popcount.  Every row
 reduction goes through ``_reduced``: pack once (``_bitsliced_masks``),
 run the one Gauss-Jordan loop (``_eliminate``), and unpack only what is
-asked for (``_unpack_masks``).  The enumeration kernels take words
-(``_mask_words``): ``_weight_distribution`` and the distance search's
-level kernel ``_min_combination_weight``, behind the int8 entry points
+asked for (``_unpack_masks``).  Rows that are already masks stay masks:
+``_extended`` joins new rows to a reduced set, and ``_block_rotation``
+is the one Gray-space shift (``rcodes.gray_shift``), a rotation of each
+block of a row with the wrapped bits doubled, so ``rcodes.GrayModule``
+closes a module under shifts without building an array.  The
+enumeration kernels take words (``_mask_words``):
+``_weight_distribution`` and the distance search's level kernel
+``_min_combination_weight``, behind the int8 entry points
 ``weight_distribution`` and ``min_combination_weight``.  Codeword lists
 and the skew sieve's tails come from one int8 coefficient grid.
 Berlekamp's kernel (``poly``) stays on masks: ``_left_kernel`` runs
@@ -34,7 +39,7 @@ import functools
 import itertools
 from math import comb
 
-from .errors import SelfCheckFailed
+from .errors import BudgetExceeded, SelfCheckFailed
 
 __all__ = [
     "as_gf3",
@@ -92,6 +97,39 @@ def _add(a1, a2, b1, b2):
     swaps its planes."""
     t = (a1 | b2) ^ (a2 | b1)
     return (a2 | b2) ^ t, (a1 | b1) ^ t
+
+
+def _block_rotation(n: int, l: int, doubled, twist: bool):
+    """The map on lists of bit-sliced rows made of len(doubled) blocks of
+    n coordinates that rotates every block by l coordinates (coordinate
+    i to i + l mod n), doubles the l wrapped coordinates of block b where
+    doubled[b] (swapping the planes on those bits), and with twist then
+    exchanges the last two blocks.  A rotation is two shifts of the whole
+    row, masked so that no bit crosses into the next block."""
+    count = len(doubled)
+    spread = sum(1 << (b * n) for b in range(count))
+    block, low = (1 << n) - 1, (1 << l) - 1
+    stay, wrapped = (block >> l) * spread, low * spread
+    swap = sum(low << (b * n) for b, flag in enumerate(doubled) if flag)
+    last = block << ((count - 1) * n)
+    before = last >> n
+    kept = block * spread ^ last ^ before
+
+    def shift(ones: list[int], twos: list[int]) -> tuple[list[int], list[int]]:
+        out1, out2 = [], []
+        for a1, a2 in zip(ones, twos):
+            a1 = (a1 & stay) << l | (a1 >> (n - l)) & wrapped
+            a2 = (a2 & stay) << l | (a2 >> (n - l)) & wrapped
+            t = (a1 ^ a2) & swap
+            a1, a2 = a1 ^ t, a2 ^ t
+            if twist:
+                a1 = a1 & kept | (a1 & before) << n | (a1 & last) >> n
+                a2 = a2 & kept | (a2 & before) << n | (a2 & last) >> n
+            out1.append(a1)
+            out2.append(a2)
+        return out1, out2
+
+    return shift
 
 
 @functools.cache
@@ -179,6 +217,42 @@ def _left_kernel(
     twos = list(twos)
     rank = len(_eliminate(ones, twos, range(n)))
     return [a >> n for a in ones[rank:]], [a >> n for a in twos[rank:]], rank
+
+
+def _extended(ones, twos, new1: list[int], new2: list[int], n: int):
+    """The masks of the reduced row echelon form of the span of reduced
+    length-n rows (ones, twos) and the rows (new1, new2); no given list
+    is changed.  Each new row is first reduced by the pivot rows at the
+    pivot columns where it is nonzero, a pivot being a reduced row's
+    lowest set bit, a 1: subtracting a pivot row clears its column and
+    no other pivot column.  The rows that stay nonzero are eliminated
+    among themselves, their pivots are cleared from the old rows, and
+    the rows are merged in pivot order."""
+    if not ones:
+        ones, twos = [*new1], [*new2]
+        k = len(_eliminate(ones, twos, range(n)))
+        return ones[:k], twos[:k]
+    pivot_rows = {a & -a: (a, b) for a, b in zip(ones, twos)}
+    pivots = sum(pivot_rows)
+    rest1, rest2 = [], []
+    for a1, a2 in zip(new1, new2):
+        hits = (a1 | a2) & pivots
+        while hits:
+            bit = hits & -hits
+            hits ^= bit
+            p1, p2 = pivot_rows[bit]
+            # an entry 1 is cleared by adding 2p (p's planes swapped)
+            a1, a2 = _add(a1, a2, p2, p1) if a1 & bit else _add(a1, a2, p1, p2)
+        if a1 | a2:
+            rest1.append(a1)
+            rest2.append(a2)
+    fresh = len(_eliminate(rest1, rest2, range(n)))
+    if not fresh:
+        return [*ones], [*twos]
+    ones, twos = rest1[:fresh] + [*ones], rest2[:fresh] + [*twos]
+    _eliminate(ones, twos, [(a & -a).bit_length() - 1 for a in ones[:fresh]])
+    order = sorted(range(len(ones)), key=lambda i: ones[i] & -ones[i])
+    return [ones[i] for i in order], [twos[i] for i in order]
 
 
 def _combination(h1: int, h2: int, ones: list[int], twos: list[int]) -> tuple[int, int]:
@@ -289,17 +363,27 @@ def _bitsliced_span(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     as two (3^k, limbs) uint64 arrays, the ones and twos masks, the zero
     word first; the last row's coefficient varies slowest.  Each row
     triples the words built so far: the block itself, the block plus the
-    row, and the block plus twice the row."""
+    row, and the block plus twice the row, written in place by the
+    formula of ``_add``."""
     _, k, limbs = rows.shape
     ones = np.zeros((3**k, limbs), dtype=np.uint64)
     twos = np.zeros_like(ones)
+    carry = np.empty((2, 3 ** max(k - 1, 0), limbs), dtype=np.uint64)
     size = 1
     for i in range(k):
         # (the row, twice the row) as ones planes, and reversed as twos
-        row = rows[:, i, None]
-        sum1, sum2 = _add(ones[:size], twos[:size], row, row[::-1])
-        ones[size : 3 * size] = sum1.reshape(-1, limbs)
-        twos[size : 3 * size] = sum2.reshape(-1, limbs)
+        b1 = rows[:, i, None]
+        b2 = b1[::-1]
+        a1, a2, t = ones[:size], twos[:size], carry[:, :size]
+        sum1 = ones[size : 3 * size].reshape(2, size, limbs)
+        sum2 = twos[size : 3 * size].reshape(2, size, limbs)
+        np.bitwise_or(a1, b2, out=t)
+        np.bitwise_or(a2, b1, out=sum1)
+        t ^= sum1
+        np.bitwise_or(a2, b2, out=sum1)
+        sum1 ^= t
+        np.bitwise_or(a1, b1, out=sum2)
+        sum2 ^= t
         size *= 3
     return ones, twos
 
@@ -327,10 +411,11 @@ def _weight_distribution(rows: np.ndarray, n: int) -> list[int]:
     """``weight_distribution`` of the span of k independent length-n rows
     held as words, by chunked full enumeration.  At most 3^9 words are
     held at once: a suffix block over the last nine rows, shifted by each
-    prefix combination of the others."""
+    prefix combination of the others.  Raises ``BudgetExceeded`` when k
+    is above ``MAX_ENUMERATION_DIM``."""
     k = rows.shape[1]
     if k > MAX_ENUMERATION_DIM:
-        raise ValueError(
+        raise BudgetExceeded(
             f"enumeration of 3^{k} codewords exceeds the 3^{MAX_ENUMERATION_DIM} limit"
         )
     k_low = min(k, 9)

@@ -7,13 +7,14 @@ the orthogonal idempotents.  This module provides:
 * vectors over the ring and the blockwise Gray map on them,
 * the shift operators on ring vectors (cyclic, constacyclic, sectioned,
   and their twisted variants), and gray_shift, the one Gray-space form
-  of all of them: a coordinate permutation with a +-1 scale per
-  coordinate (the user API and the test oracle stay on the ring side),
+  of all of them: a rotation of each Gray block on bit-sliced masks
+  (the user API and the test oracle stay on the ring side),
 * RCode: component-triple codes with Gray image, Lee distance, duals,
   cardinality, self-orthogonality, and combined generators,
 * transport between cyclic and constacyclic codes for odd length,
-* GrayModule: a generic submodule engine over Gray coordinates used for
-  closures under Gray-space shifts and brute-force checks.
+* GrayModule: a generic submodule engine over Gray coordinates, held as
+  bit-sliced masks, used for closures under Gray-space shifts and
+  brute-force checks.
 """
 
 from __future__ import annotations
@@ -110,14 +111,17 @@ def ungray_vector(arr) -> RVector:
     )
 
 
-def _gray_projections(rows) -> np.ndarray:
-    """Gray images of e1*c, e2*c, e3*c for Gray rows of vectors c, shape
-    (..., 3n) to (..., 3, 3n): the Gray coordinates of e_b are the b-th
-    unit vector, so the image of e_b*c is that of c with the other two
-    blocks zeroed."""
-    rows = np.asarray(rows)
-    masks = np.repeat(np.eye(3, dtype=np.int8), rows.shape[-1] // 3, axis=1)
-    return masks * rows[..., None, :]
+def _projection_masks(vec) -> tuple[list[int], list[int]]:
+    """The (ones, twos) masks of the Gray images of e1*c, e2*c, e3*c for
+    a ring vector c: the Gray coordinates of e_b are the b-th unit vector,
+    so the image of e_b*c is block b of that of c, the others zero."""
+    n = len(vec)
+    ones, twos = [], []
+    for b in range(3):
+        a1, a2 = gf3linalg._row_masks([e.gray[b] for e in vec])
+        ones.append(a1 << (b * n))
+        twos.append(a2 << (b * n))
+    return ones, twos
 
 
 def ring_inner_product(a, b) -> RingElement:
@@ -204,9 +208,9 @@ def skew_constacyclic_section_shift(vec, lam, l: int) -> RVector:
 # -- shift operators on Gray vectors --------------------------------------
 
 
-def gray_shift(n: int, lam=ONE, l: int = 1, twist: bool = False):
+def gray_shift(n: int, lam=ONE, l: int = 1, twist: bool = False) -> "GrayShift":
     """The Gray-space form of every shift above, as a map on GF(3) arrays
-    of shape (..., 3n).
+    of shape (..., 3n), and through ``on_masks`` on bit-sliced Gray rows.
 
     Each block of the Gray image is rotated by l positions, the l wrapped
     entries of block b are scaled by the b-th Gray coordinate of lam, and
@@ -214,26 +218,38 @@ def gray_shift(n: int, lam=ONE, l: int = 1, twist: bool = False):
     gray_shift(n, lam, l, twist) composed with gray_vector equals
     gray_vector composed with constacyclic_section_shift(., lam, l), or
     with its skew form when twist is set; lam = 1 and l = 1 give the
-    cyclic, constacyclic and sectioned special cases."""
+    cyclic, constacyclic and sectioned special cases.  The map is one
+    ``gf3linalg._block_rotation`` on masks (scaling by 2 = -1 swaps the
+    planes of the wrapped bits); building it imports no numpy."""
     lam = _require_unit(lam)
     if l < 1 or n < 1 or n % l:
         raise BadFactorization(f"length {n} is not a multiple of {l}")
-    blocks = (0, 2, 1) if twist else (0, 1, 2)
-    rotated = (np.arange(n) - l) % n
-    perm = np.concatenate([b * n + rotated for b in blocks])
-    scale = np.ones(3 * n, dtype=np.int8)
-    for out, b in enumerate(blocks):
-        scale[out * n : out * n + l] = lam.gray[b]
+    doubled = tuple(t == 2 for t in lam.gray)
+    return GrayShift(n, gf3linalg._block_rotation(n, l, doubled, twist))
 
-    def shift(rows) -> np.ndarray:
+
+class GrayShift:
+    """A map built by ``gray_shift``: ``on_masks`` sends lists of (ones,
+    twos) masks of Gray rows to the masks of their images, and a call
+    sends GF(3) arrays of shape (..., 3n) to int8 arrays of their images
+    by packing, ``on_masks`` and unpacking."""
+
+    __slots__ = ("n", "on_masks")
+
+    def __init__(self, n: int, on_masks):
+        self.n = n
+        self.on_masks = on_masks
+
+    def __call__(self, rows) -> np.ndarray:
         rows = np.asarray(rows)
-        if rows.shape[-1] != 3 * n:
+        width = 3 * self.n
+        if rows.shape[-1] != width:
             raise LengthMismatch(
-                f"expected Gray vectors of length {3 * n}, got {rows.shape[-1]}"
+                f"expected Gray vectors of length {width}, got {rows.shape[-1]}"
             )
-        return rows[..., perm] * scale % 3
-
-    return shift
+        flat = gf3linalg.as_gf3(rows.reshape(-1, width))
+        images = self.on_masks(*gf3linalg._bitsliced_masks(flat))
+        return gf3linalg._unpack_masks(*images, width).reshape(rows.shape)
 
 
 # -- component-triple codes ----------------------------------------------
@@ -503,16 +519,40 @@ class GrayModule:
     """A submodule of the ambient module of length-n ring vectors, stored
     as the GF(3) row space of the Gray images of its elements.
 
-    A subspace of Gray space is a submodule exactly when it is closed
-    under the linear map induced by multiplication by v; spans produced
-    by from_rvectors are closed by construction."""
+    The module holds the (ones, twos) masks of its reduced row echelon
+    basis (see ``gf3linalg``) and nothing else: ``rank``, equality and
+    hashing read them, and ``basis``, the int8 RREF rows, is unpacked on
+    its first read and kept.  A subspace of Gray space is a submodule
+    exactly when it is closed under the linear map induced by
+    multiplication by v; spans produced by from_rvectors are closed by
+    construction."""
 
-    __slots__ = ("n", "basis")
+    __slots__ = ("n", "_ones", "_twos", "_basis")
 
     def __init__(self, rows, n: int):
+        ones, twos, pivots, _ = gf3linalg._reduced(np.reshape(rows, (-1, 3 * n)))
+        self._hold(ones[: len(pivots)], twos[: len(pivots)], n)
+
+    def _hold(self, ones: list[int], twos: list[int], n: int) -> None:
         object.__setattr__(self, "n", n)
-        basis = gf3linalg.row_basis(np.reshape(rows, (-1, 3 * n)))
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_ones", tuple(ones))
+        object.__setattr__(self, "_twos", tuple(twos))
+        object.__setattr__(self, "_basis", None)
+
+    @classmethod
+    def _from_masks(cls, ones: list[int], twos: list[int], n: int) -> "GrayModule":
+        """The span of bit-sliced Gray rows."""
+        empty = cls.__new__(cls)
+        empty._hold((), (), n)
+        return empty._extend(ones, twos)
+
+    def _extend(self, ones: list[int], twos: list[int]) -> "GrayModule":
+        """The span of this module and of bit-sliced Gray rows."""
+        grown = GrayModule.__new__(GrayModule)
+        grown._hold(
+            *gf3linalg._extended(self._ones, self._twos, ones, twos, 3 * self.n), self.n
+        )
+        return grown
 
     def __setattr__(self, name, value):
         raise AttributeError("GrayModule is immutable")
@@ -530,23 +570,52 @@ class GrayModule:
             n = len(vectors[0])
         if any(len(v) != n for v in vectors):
             raise LengthMismatch("generator lengths differ")
-        return cls([_gray_projections(gray_vector(v)) for v in vectors], n)
+        ones, twos = [], []
+        for v in vectors:
+            a1, a2 = _projection_masks(v)
+            ones += a1
+            twos += a2
+        return cls._from_masks(ones, twos, n)
 
     def closure(self, maps) -> "GrayModule":
         """Smallest submodule containing this one and stable under each
-        of the given Gray-space maps (which must send submodules to
-        submodules, as every gray_shift does)."""
-        current = self
+        of the given ``gray_shift`` maps (every one sends submodules to
+        submodules).  Each round extends the module by the images under
+        the maps' ``on_masks`` of the basis rows that the previous round
+        added (all of them at first; the maps are linear, so the images
+        of the older rows are in the module already), through
+        ``gf3linalg._extended``; it stops when the rank no longer grows.
+        The added rows are those whose pivot, their lowest set bit, is
+        new."""
+        current, added = self, (self._ones, self._twos)
         while True:
-            rows = np.vstack([current.basis] + [m(current.basis) for m in maps])
-            grown = GrayModule(rows, self.n)
+            ones, twos = [], []
+            for m in maps:
+                a1, a2 = m.on_masks(*added)
+                ones += a1
+                twos += a2
+            grown = current._extend(ones, twos)
             if grown.rank == current.rank:
                 return current
+            old = {a & -a for a in current._ones}
+            added = [], []
+            for a1, a2 in zip(grown._ones, grown._twos):
+                if a1 & -a1 not in old:
+                    added[0].append(a1)
+                    added[1].append(a2)
             current = grown
 
     @property
+    def basis(self) -> np.ndarray:
+        """The int8 RREF basis rows, unpacked on the first read."""
+        if self._basis is None:
+            basis = gf3linalg._unpack_masks([*self._ones], [*self._twos], 3 * self.n)
+            object.__setattr__(self, "_basis", basis)
+        return self._basis
+
+    @property
     def rank(self) -> int:
-        return self.basis.shape[0]
+        return len(self._ones)
 
     @property
     def block_ranks(self) -> tuple[int, int, int]:
@@ -594,7 +663,7 @@ class GrayModule:
     def __eq__(self, other):
         if not isinstance(other, GrayModule):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.basis, other.basis)
+        return (self.n, self._ones, self._twos) == (other.n, other._ones, other._twos)
 
     def __hash__(self):
-        return hash((self.n, self.basis.tobytes()))
+        return hash((self.n, self._ones, self._twos))

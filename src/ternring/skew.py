@@ -28,12 +28,11 @@ from .gf3linalg import _coefficient_grid, np
 from .poly import ModulusSign, factor, modulus
 from .rcodes import (
     GrayModule,
-    _gray_projections,
+    _projection_masks,
     _require_unit,
     as_rvector,
     cyclic_shift,
     gray_shift,
-    gray_vector,
 )
 from .ring import (
     ONE,
@@ -73,7 +72,9 @@ __all__ = [
 MAX_SIEVE_TAILS = 9**6
 
 # Longest vector length s*l of a module the builder closes: the closure
-# costs about cubically in it, some 1 s and 53 MB peak RSS at 200.
+# costs about cubically in it.  skew_cyclic_code(x+2, 200) and a
+# (50, 4) module, bases read, take 0.26-0.29 s and 30 MB peak RSS in
+# a fresh process on a 2-vCPU x86_64 machine.
 MAX_MODULE_LENGTH = 200
 
 
@@ -608,14 +609,18 @@ def _skew_module(cls, s: int, l: int, lam, generators, common_divisor):
     idempotent projections of x^i times the generator vector for each i
     below the rank the common divisor predicts (s if its chain failed),
     so a free module closes in one round; a rank of 0 uses no seed row.
-    The entry points have checked s * l against ``MAX_MODULE_LENGTH``."""
+    The seed rows are bit-sliced masks read off the generators' Gray
+    coordinates, shifted by the mask form of left_x, and the closure
+    runs on masks: no array is built until the module's ``basis`` is
+    read.  The entry points have checked s * l against
+    ``MAX_MODULE_LENGTH``."""
     n = s * l
     left_x = gray_shift(n, lam.theta(), l, twist=True)
-    seed = [p.coeff(i) for i in range(s) for p in generators]
-    step = _gray_projections(gray_vector(seed))
-    rows = []
+    step = _projection_masks([p.coeff(i) for i in range(s) for p in generators])
+    ones, twos = [], []
     for _ in range(s if common_divisor is None else s - common_divisor.degree):
-        rows.append(step)
-        step = left_x(step)
-    module = GrayModule(rows, n).closure([left_x])
+        ones += step[0]
+        twos += step[1]
+        step = left_x.on_masks(*step)
+    module = GrayModule._from_masks(ones, twos, n).closure([left_x])
     return cls(s, l, lam, generators, common_divisor, module)

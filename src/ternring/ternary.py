@@ -146,7 +146,8 @@ class TernaryPolyCode:
         """Exact [A_0, ..., A_n]: the systematic rows of the smaller of C
         and C^perp are enumerated, and when that is the dual, A(C) comes
         from the MacWilliams transform of its distribution.  Raises
-        ValueError when both dimensions exceed the enumeration cap."""
+        ``BudgetExceeded`` when both dimensions exceed the enumeration
+        cap."""
         small = self if self.k <= self.n - self.k else self.dual()
         dist = gf3linalg._weight_distribution(small._systematic_words(), self.n)
         if small is self:

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ternring import gf3linalg
-from ternring.errors import SelfCheckFailed
+from ternring.errors import BudgetExceeded, SelfCheckFailed
 
 TETRACODE = [[1, 0, 1, 1], [0, 1, 1, 2]]
 
@@ -178,7 +178,7 @@ class TestWeightDistribution:
             gf3linalg.min_weight(np.zeros((2, 3)))
 
     def test_enumeration_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BudgetExceeded):
             gf3linalg.weight_distribution(np.eye(15, dtype=np.int8))
 
     def test_min_weight_is_first_nonzero_weight(self):
@@ -268,6 +268,32 @@ class TestAdder:
         assert np.array_equal(gf3linalg._unpack_masks(a2, a1, n), 2 * a % 3)
         assert [*map(gf3linalg._add, a1, a2, a1, a2)] == [*zip(a2, a1)]
         assert np.array_equal(unpack_words(*gf3linalg._add(*wa, *wa), n), 2 * a % 3)
+
+
+class TestExtended:
+    @given(
+        st.integers(1, 130) | st.sampled_from([63, 64, 65]),
+        st.integers(0, 12),
+        st.integers(0, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_joins_to_the_rref_of_the_stacked_rows(self, n, k, m, seed):
+        # a reduced set of rows joined with new ones, some of them in its
+        # span, is the int8 RREF of all of them, zero rows dropped
+        rng = np.random.default_rng(seed)
+        old = rng.integers(0, 3, size=(k, n))
+        new = rng.integers(0, 3, size=(m, n))
+        new[: m // 2] = rng.integers(0, 3, size=(m // 2, k)) @ old % 3
+        reduced, pivots = int8_rref(old)
+        ones, twos = gf3linalg._bitsliced_masks(reduced[: len(pivots)])
+        new1, new2 = gf3linalg._bitsliced_masks(new.astype(np.int8))
+        given = [*ones], [*twos], [*new1], [*new2]
+        got = gf3linalg._extended(ones, twos, new1, new2, n)
+        expected, pivots = int8_rref(np.vstack([old, new]))
+        assert np.array_equal(
+            gf3linalg._unpack_masks(*got, n), expected[: len(pivots)]
+        )
+        assert (ones, twos, new1, new2) == given
 
 
 class TestBitslicedSpan:

@@ -37,6 +37,8 @@ COMMANDS = [
     ["skew", "gcld", "--s", "2", "--lambda", "1", "x+1", "x^2+2"],
     ["skew", "gcld", "--s", "2", "--lambda", "1", "x+1", "x+1+v^2"],
     ["skew", "count", "--n", "9"],
+    ["skew", "code", "--n", "6", "--f", "x+2"],
+    ["skew", "code", "--n", "5", "--f", "x+1"],
     ["code", "check-dc", "--n", "8", "--sign", "pos",
      "--f1", "x^2+1", "--f2", "x+1", "--f3", "1"],
     ["factor", "--n", "0", "--sign", "pos"],
@@ -71,7 +73,7 @@ def test_commands_without_arrays_run_where_numpy_cannot_be_imported():
     assert blocked == free
     *results, loaded = free
     assert not loaded
-    assert [code for code, _ in results] == [0, 0, 0, 0, 1, 0, 1, 0, 0, 2]
+    assert [code for code, _ in results] == [0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 2]
     assert all(out for code, out in results if code != 2)
 
 

@@ -6,8 +6,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ternring import rcodes
+from ternring import gf3linalg, rcodes
 from ternring.errors import (
     BadFactorization,
     BudgetExceeded,
@@ -49,6 +51,7 @@ from ternring.ring import (
     parse_element,
     scalar,
 )
+from ternring.skew import one_generator_sqc, parse_skew_poly, skew_cyclic_code
 
 P = parse_poly
 E = parse_element
@@ -131,6 +134,20 @@ class TestShiftOperators:
             for _ in range(10):
                 w = constacyclic_shift(w, lam)
             assert w == v
+
+
+def _permutation_gray_shift(n, lam, l, twist):
+    """gray_shift as a coordinate permutation with a scale per coordinate
+    on int8 arrays: each block rotated by l, the l wrapped entries of
+    source block b scaled by the b-th Gray coordinate of lam, and with
+    twist the last two blocks exchanged."""
+    blocks = (0, 2, 1) if twist else (0, 1, 2)
+    rotated = (np.arange(n) - l) % n
+    perm = np.concatenate([b * n + rotated for b in blocks])
+    scale = np.ones(3 * n, dtype=np.int8)
+    for out, b in enumerate(blocks):
+        scale[out * n : out * n + l] = lam.gray[b]
+    return lambda rows: np.asarray(rows)[..., perm] * scale % 3
 
 
 class TestShiftDiagrams:
@@ -222,6 +239,20 @@ class TestShiftDiagrams:
                     got = gray_shift(n, lam, l, twist)(rows)
                     assert got.shape == rows.shape
                     assert np.array_equal(got, expected), (lam, twist, n, l)
+
+    @given(st.data())
+    def test_mask_shift_matches_permutation_oracle(self, data):
+        # n up to 48, so that a Gray row of 3n coordinates spans more
+        # than one 64-bit word
+        n = data.draw(st.integers(1, 48))
+        entries = data.draw(st.lists(st.integers(0, 2), min_size=3 * n, max_size=6 * n))
+        rows = np.array(entries[: len(entries) // (3 * n) * 3 * n], dtype=np.int8)
+        rows = rows.reshape(-1, 3 * n)
+        for lam, twist in itertools.product(UNITS, (False, True)):
+            for l in [d for d in range(1, n + 1) if n % d == 0]:
+                got = gray_shift(n, lam, l, twist)(rows)
+                expected = _permutation_gray_shift(n, lam, l, twist)(rows)
+                assert np.array_equal(got, expected), (n, lam, l, twist)
 
     def test_gray_shift_errors(self):
         with pytest.raises(LengthMismatch):
@@ -443,6 +474,31 @@ class TestGrayModule:
         assert z.dual().rank == 9
         with pytest.raises(ZeroCode):
             z.lee_distance()
+
+    def test_basis_is_unpacked_once_on_first_read(self, monkeypatch):
+        calls = []
+        for name in ("_bitsliced_masks", "_unpack_masks"):
+            real = getattr(gf3linalg, name)
+
+            def spy(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(gf3linalg, name, spy)
+        built = [
+            skew_cyclic_code(parse_skew_poly("x+2"), 6).module,
+            one_generator_sqc(
+                [parse_skew_poly("x+1"), parse_skew_poly("x^2+2")], 2, 2, ONE
+            ).module,
+        ]
+        assert calls == []
+        for module in built:
+            basis = module.basis
+            assert calls == ["_unpack_masks"]
+            assert module.basis is basis
+            assert calls == ["_unpack_masks"]
+            assert basis.shape == (module.rank, 3 * module.n)
+            calls.clear()
 
     def test_equality_and_hash(self):
         a = GrayModule(np.array([[1, 0, 0, 0, 1, 0, 0, 0, 1]]), 3)

@@ -245,7 +245,7 @@ class TestMinDistance:
         assert c.k == 16
         assert c.min_distance() == _support_search(c) == 2
         assert _first_nonzero_weight(c.weight_distribution()) == 2
-        with pytest.raises(ValueError):
+        with pytest.raises(BudgetExceeded):
             gf3linalg.min_weight(c.generator_matrix())
 
     def test_matches_weight_distribution_through_n24(self):

@@ -18,12 +18,15 @@ asked for (``_unpack_masks``).  Rows that are already masks stay masks:
 ``_extended`` joins new rows to a reduced set, and ``_block_rotation``
 is the one Gray-space shift (``rcodes.gray_shift``), a rotation of each
 block of a row with the wrapped bits doubled, so ``rcodes.GrayModule``
-closes a module under shifts without building an array.  The
-enumeration kernels take words (``_mask_words``):
-``_weight_distribution`` and the distance search's level kernel
-``_min_combination_weight``, behind the int8 entry points
-``weight_distribution`` and ``min_combination_weight``.  Codeword lists
-and the skew sieve's tails come from one int8 coefficient grid.
+closes a module under shifts without building an array.  Full
+enumeration (``_weight_distribution``, behind ``weight_distribution``)
+takes words (``_mask_words``).  The distance search has one level
+kernel, ``_min_combination_weight``, behind ``min_combination_weight``:
+it takes masks, and packs them into words for numpy only for a level of
+more than ``_NUMPY_LEVEL_WORDS`` limbs.  Below that size a walk on
+Python ints is faster than numpy's per-call cost, above it slower (see
+the constant), so a small code's distance imports no numpy.  Codeword
+lists and the skew sieve's tails come from one int8 coefficient grid.
 Berlekamp's kernel (``poly``) stays on masks: ``_left_kernel`` runs
 ``_eliminate`` on the rows of [A | I] and builds no array.
 
@@ -61,9 +64,20 @@ __all__ = [
 # callers must use a directed search.
 MAX_ENUMERATION_DIM = 14
 
-# 64-coordinate limbs min_combination_weight holds at once, as many as
+# 64-coordinate limbs the packed level kernel holds at once, as many as
 # the words of the suffix block of weight_distribution when n <= 64.
 _BLOCK_WORDS = 3**9
+
+# Largest level of the distance search, in candidate words times
+# ceil(n/64), that _min_combination_weight enumerates on Python-int
+# masks; larger levels are packed for numpy.  Over 323 random levels
+# (k <= 25, t <= 4, n in {12, 24, 46, 100}) the median time ratio of the
+# mask walk to the packed kernel was 0.19 at 4-7 limbs, 0.63 at 64-127,
+# 0.77 at 128-255, 0.90 at 256-511 and 1.3-1.4 from 1,024 to 8,191; at
+# t = 4 the walk already lost at 120-280 limbs (1.0-1.5).  A walk at
+# every size took 1.65x as long over 24 divisor codes [46, 20..26]
+# (10.8 s against 6.5 s), on a 2-vCPU x86_64 machine.
+_NUMPY_LEVEL_WORDS = 128
 
 
 class _Numpy:
@@ -222,16 +236,30 @@ def _left_kernel(
 def _extended(ones, twos, new1: list[int], new2: list[int], n: int):
     """The masks of the reduced row echelon form of the span of reduced
     length-n rows (ones, twos) and the rows (new1, new2); no given list
-    is changed.  Each new row is first reduced by the pivot rows at the
-    pivot columns where it is nonzero, a pivot being a reduced row's
-    lowest set bit, a 1: subtracting a pivot row clears its column and
-    no other pivot column.  The rows that stay nonzero are eliminated
-    among themselves, their pivots are cleared from the old rows, and
-    the rows are merged in pivot order."""
+    is changed.  The new rows are first reduced by the pivot rows
+    (``_residues``); the rows that stay nonzero are eliminated among
+    themselves, their pivots are cleared from the old rows, and the rows
+    are merged in pivot order."""
     if not ones:
         ones, twos = [*new1], [*new2]
         k = len(_eliminate(ones, twos, range(n)))
         return ones[:k], twos[:k]
+    rest1, rest2 = _residues(ones, twos, new1, new2)
+    fresh = len(_eliminate(rest1, rest2, range(n)))
+    if not fresh:
+        return [*ones], [*twos]
+    ones, twos = rest1[:fresh] + [*ones], rest2[:fresh] + [*twos]
+    _eliminate(ones, twos, [(a & -a).bit_length() - 1 for a in ones[:fresh]])
+    order = sorted(range(len(ones)), key=lambda i: ones[i] & -ones[i])
+    return [ones[i] for i in order], [twos[i] for i in order]
+
+
+def _residues(ones, twos, new1, new2) -> tuple[list[int], list[int]]:
+    """The rows (new1, new2) that stay nonzero once reduced by the
+    reduced rows (ones, twos) at the pivot columns where they are
+    nonzero, a pivot being a reduced row's lowest set bit, a 1:
+    subtracting a pivot row clears its column and no other pivot column.
+    So they are empty exactly when every new row lies in the span."""
     pivot_rows = {a & -a: (a, b) for a, b in zip(ones, twos)}
     pivots = sum(pivot_rows)
     rest1, rest2 = [], []
@@ -246,13 +274,7 @@ def _extended(ones, twos, new1: list[int], new2: list[int], n: int):
         if a1 | a2:
             rest1.append(a1)
             rest2.append(a2)
-    fresh = len(_eliminate(rest1, rest2, range(n)))
-    if not fresh:
-        return [*ones], [*twos]
-    ones, twos = rest1[:fresh] + [*ones], rest2[:fresh] + [*twos]
-    _eliminate(ones, twos, [(a & -a).bit_length() - 1 for a in ones[:fresh]])
-    order = sorted(range(len(ones)), key=lambda i: ones[i] & -ones[i])
-    return [ones[i] for i in order], [twos[i] for i in order]
+    return rest1, rest2
 
 
 def _combination(h1: int, h2: int, ones: list[int], twos: list[int]) -> tuple[int, int]:
@@ -450,15 +472,61 @@ def min_weight(generator) -> int:
 def min_combination_weight(matrix, t: int) -> int:
     """Least Hamming weight of c_1 r_1 + ... + c_t r_t over every set of t
     distinct rows of the matrix and every nonzero coefficient vector with
-    c_1 = 1 (doubling a word keeps its weight): C(k, t) 2^(t-1) words,
-    at most 3^9 limbs of them at once."""
+    c_1 = 1 (doubling a word keeps its weight): C(k, t) 2^(t-1) words.
+    Raises ``ValueError`` unless 1 <= t <= k."""
     a = as_gf3(matrix)
-    return _min_combination_weight(_mask_words(*_bitsliced_masks(a), a.shape[1]), t)
+    return _min_combination_weight(*_bitsliced_masks(a), a.shape[1], t)
 
 
-def _min_combination_weight(rows: np.ndarray, t: int) -> int:
-    """``min_combination_weight`` of rows held as words.  Bit j - 2 of a
-    pattern number picks c_j = 2."""
+def _min_combination_weight(ones, twos, n: int, t: int) -> int:
+    """``min_combination_weight`` of length-n bit-sliced rows, the one
+    level kernel of the distance search.  Level 1 reads the rows' own
+    weights.  A level of at most ``_NUMPY_LEVEL_WORDS`` words, counted
+    in 64-coordinate limbs, is enumerated on the masks row by row: each
+    row b is the last row of every sum a of t - 1 earlier rows, met as
+    a + b, nonzero where (a1 ^ b2) | (a2 ^ b1), and as a - b, nonzero
+    where (a1 ^ b1) | (a2 ^ b2); then it extends the shorter sums by
+    ``_add``.  (A depth-first walk, one call per partial sum, took 1.6 to
+    2.5 times as long at t = 3 and 4.)  A larger level runs
+    ``_packed_min_combination_weight`` on the rows as words, packed once
+    for consecutive levels of the same rows."""
+    k = len(ones)
+    if not 1 <= t <= k:
+        raise ValueError(f"cannot combine {t} of {k} rows")
+    if t == 1:
+        return min((a | b).bit_count() for a, b in zip(ones, twos))
+    if (comb(k, t) << (t - 1)) * -(-n // 64) > _NUMPY_LEVEL_WORDS:
+        words = _packed_rows(tuple(ones), tuple(twos), n)
+        return _packed_min_combination_weight(words, t)
+    # sums[d]: every sum of d + 1 of the rows before the current one,
+    # the first with coefficient 1 and the others +-1
+    sums = [[] for _ in range(t - 1)]
+    best = n
+    for b1, b2 in zip(ones, twos):
+        if last := sums[-1]:
+            best = min(
+                best,
+                min(((a1 ^ b2) | (a2 ^ b1)).bit_count() for a1, a2 in last),
+                min(((a1 ^ b1) | (a2 ^ b2)).bit_count() for a1, a2 in last),
+            )
+        for d in range(t - 2, 0, -1):
+            shorter = sums[d - 1]
+            sums[d] += [_add(a1, a2, b1, b2) for a1, a2 in shorter]
+            sums[d] += [_add(a1, a2, b2, b1) for a1, a2 in shorter]
+        sums[0].append((b1, b2))
+    return best
+
+
+@functools.lru_cache(maxsize=1)
+def _packed_rows(ones: tuple[int, ...], twos: tuple[int, ...], n: int) -> np.ndarray:
+    """``_mask_words`` of the rows, kept for the next level of the same
+    search."""
+    return _mask_words(ones, twos, n)
+
+
+def _packed_min_combination_weight(rows: np.ndarray, t: int) -> int:
+    """``min_combination_weight`` of rows held as words, at most 3^9 limbs
+    of them at once.  Bit j - 2 of a pattern number picks c_j = 2."""
     k, limbs = rows.shape[1:]
     # signed[c - 1] holds the rows times c as (ones, twos) planes
     signed = np.stack([rows, rows[::-1]])

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from . import gf3linalg
+from ._record import Record
 from .errors import (
     BothZero,
     BudgetExceeded,
@@ -318,12 +318,13 @@ def gcd(f: Z3Poly, g: Z3Poly) -> Z3Poly:
     return a.monic()
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """unit * product of monic irreducible factors with multiplicities."""
 
-    unit: int
-    factors: tuple[tuple[Z3Poly, int], ...]
+    __slots__ = ("unit", "factors")
+
+    def __init__(self, unit: int, factors: tuple[tuple[Z3Poly, int], ...]):
+        self._set(unit=unit, factors=factors)
 
     def expand(self) -> Z3Poly:
         out = Z3Poly([self.unit])

@@ -24,8 +24,8 @@ import contextlib
 import gc
 import itertools
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import BudgetExceeded, NotDualContaining, SelfCheckFailed
 from .gf3linalg import np
 from .poly import ModulusSign, Z3Poly, factor, modulus, parse_poly
@@ -48,14 +48,14 @@ __all__ = [
 MAX_SCAN_ROWS = 3_000_000
 
 
-@dataclass(frozen=True)
-class QuantumParams:
+class QuantumParams(Record):
     """Stabilizer-code parameters [[N, K, d]] on qutrits: N physical
     qutrits, logical dimension 3^K, distance d."""
 
-    N: int
-    K: int
-    d: int
+    __slots__ = ("N", "K", "d")
+
+    def __init__(self, N: int, K: int, d: int):
+        self._set(N=N, K=K, d=d)
 
     def __str__(self):
         return f"[[{self.N},{self.K},{self.d}]]"
@@ -250,8 +250,7 @@ def _sorted_triples(
     return (*(column.tolist() for column in columns), runs)
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
+class ReferenceRow(Record):
     """Outcome of one frozen reference construction.
 
     ``status`` is "ok" when the derived parameters match the expected
@@ -259,15 +258,27 @@ class ReferenceRow:
     (``flag_id`` names it and ``notes`` explain), and "fail" otherwise.
     """
 
-    label: str
-    n: int
-    sign: ModulusSign
-    generators: tuple[str, str, str]
-    expected: tuple[int, int, int] | None
-    params: QuantumParams | None
-    status: str
-    flag_id: str | None = None
-    notes: tuple[str, ...] = ()
+    __slots__ = (
+        "label", "n", "sign", "generators", "expected", "params", "status",
+        "flag_id", "notes",
+    )
+
+    def __init__(
+        self,
+        label: str,
+        n: int,
+        sign: ModulusSign,
+        generators: tuple[str, str, str],
+        expected: tuple[int, int, int] | None,
+        params: QuantumParams | None,
+        status: str,
+        flag_id: str | None = None,
+        notes: tuple[str, ...] = (),
+    ):
+        self._set(
+            label=label, n=n, sign=sign, generators=generators, expected=expected,
+            params=params, status=status, flag_id=flag_id, notes=notes,
+        )
 
 
 # Frozen reference constructions: (label, n, sign, generators,

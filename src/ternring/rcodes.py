@@ -124,6 +124,20 @@ def _projection_masks(vec) -> tuple[list[int], list[int]]:
     return ones, twos
 
 
+def _gray_masks(vec) -> tuple[int, int]:
+    """The (ones, twos) masks of the Gray image of a ring vector: the sum
+    of its projections' masks, whose blocks are disjoint."""
+    ones, twos = _projection_masks(vec)
+    return sum(ones), sum(twos)
+
+
+def _ungray_masks(ones: int, twos: int, n: int) -> RVector:
+    """The ring vector of length n whose Gray image has the given masks,
+    the inverse of ``_gray_masks``."""
+    entries = gf3linalg._row_entries(ones, twos, 3 * n)
+    return tuple(from_gray(entries[i :: n]) for i in range(n))
+
+
 def ring_inner_product(a, b) -> RingElement:
     """Euclidean inner product sum(a_i * b_i) over the ring."""
     a, b = as_rvector(a), as_rvector(b)
@@ -625,14 +639,29 @@ class GrayModule:
             for b in range(3)
         )
 
+    def _spans(self, ones, twos) -> bool:
+        """Whether every given bit-sliced Gray row lies in the module: each
+        must vanish once reduced by the basis (``gf3linalg._residues``)."""
+        return not gf3linalg._residues(self._ones, self._twos, ones, twos)[0]
+
     def contains_gray(self, row) -> bool:
-        return gf3linalg.row_space_contains(self.basis, np.asarray(row).reshape(1, -1))
+        """Whether a Gray vector (3n integers, read mod 3) lies in the
+        module."""
+        entries = [int(c) % 3 for c in row]
+        if len(entries) != 3 * self.n:
+            raise LengthMismatch(f"expected a Gray vector of length {3 * self.n}")
+        ones, twos = gf3linalg._row_masks(entries)
+        return self._spans([ones], [twos])
 
     def contains(self, vec) -> bool:
-        return self.contains_gray(gray_vector(vec))
+        vec = as_rvector(vec)
+        if len(vec) != self.n:
+            raise LengthMismatch(f"expected a length-{self.n} vector")
+        ones, twos = _gray_masks(vec)
+        return self._spans([ones], [twos])
 
     def basis_rvectors(self) -> list[RVector]:
-        return [ungray_vector(row) for row in self.basis]
+        return [_ungray_masks(a1, a2, self.n) for a1, a2 in zip(self._ones, self._twos)]
 
     def is_v_closed(self) -> bool:
         """Closure under entrywise multiplication by v (the submodule
@@ -642,11 +671,10 @@ class GrayModule:
         return self.is_closed_under(lambda vec: tuple(V * e for e in vec))
 
     def is_closed_under(self, op) -> bool:
-        """Whether the module is stable under a map on ring vectors."""
-        if self.rank == 0:
-            return True
-        images = [gray_vector(op(v)) for v in self.basis_rvectors()]
-        return gf3linalg.row_space_contains(self.basis, np.array(images))
+        """Whether the module is stable under a map on ring vectors: the
+        Gray masks of the images of the basis vectors must lie in it."""
+        images = [_gray_masks(op(v)) for v in self.basis_rvectors()]
+        return self._spans([a for a, _ in images], [b for _, b in images])
 
     def dual(self) -> "GrayModule":
         """Orthogonal module: Gray rows orthogonal to every basis row

@@ -9,12 +9,15 @@ Both exact invariants start from the systematic matrix [I_k | P], built
 without elimination: row j is x^j + x^k s_j, s_j being the remainder of
 -x^(j-k) modulo g (systematic encoding by division), and the same
 recurrence carried on to -x^(-n) checks that g divides the modulus.  Its
-rows go as bit-sliced words to the kernels of ``gf3linalg``, which owns
-that format.  The weight distribution enumerates the smaller of the code
-and its dual (dimension at most 14), the dual side carried over by the
+rows are bit-sliced (ones, twos) masks, the format ``gf3linalg`` owns.
+The weight distribution enumerates the smaller of the code and its dual
+(dimension at most 14) as words, the dual side carried over by the
 MacWilliams transform.  Minimum Hamming distance has one exact engine for
 every k: a Brouwer-Zimmermann search on the information set 0..k-1, which
-the cyclic (or negacyclic) shift makes sufficient on its own.
+the cyclic (or negacyclic) shift makes sufficient on its own.  It hands
+the masks to ``gf3linalg``'s one level kernel, which packs them for
+numpy only for a large level, so the distance of a small code imports
+no numpy.
 ``gf3linalg.min_weight`` on the generator matrix and the weight
 distribution serve the tests as independent oracles.
 """
@@ -40,8 +43,9 @@ __all__ = ["TernaryPolyCode", "MAX_DISTANCE_WORDS"]
 # Candidate words one distance search may enumerate, counted in
 # 64-coordinate limbs (words times ceil(n/64)), so that the budget also
 # bounds memory at any length.  The costliest divisor code with n <= 48
-# needs 5,080,816 (a [46, 24, 13] code, 0.26 s); the search makes about
-# 2e7 words a second for n <= 64.
+# needs 5,080,816 (a [46, 24, 13] code): 0.55-0.67 s, about 8e6 to 9e6
+# words a second, on a shared 2-vCPU x86_64 machine; nearly all of it is
+# in the packed levels 5 and 6.
 MAX_DISTANCE_WORDS = 30_000_000
 
 
@@ -200,10 +204,11 @@ class TernaryPolyCode:
         has a shift with at most floor(w k / n) nonzeros among 0..k-1.
         Once levels below t are done, every word lighter than best has had
         such a shift seen when (best - 1) k < t n, and the search stops.
-        Raises ``BudgetExceeded`` before a level that would take the
-        candidate count, in limbs, above ``MAX_DISTANCE_WORDS``; level 1
-        is the systematic matrix itself, so it is checked before the
-        matrix is built."""
+        Each level is one call of ``gf3linalg._min_combination_weight``
+        on the systematic masks.  Raises ``BudgetExceeded`` before a level
+        that would take the candidate count, in limbs, above
+        ``MAX_DISTANCE_WORDS``; level 1 is the systematic matrix itself,
+        so it is checked before the matrix is built."""
         if self.k == 0:
             raise ZeroCode("the zero code has no nonzero codeword")
         n, k = self.n, self.k
@@ -219,6 +224,6 @@ class TernaryPolyCode:
                     f"by level t = {t}"
                 )
             if t == 1:
-                systematic = self._systematic_words()
-            best = min(best, gf3linalg._min_combination_weight(systematic, t))
+                ones, twos = self._systematic_masks()
+            best = min(best, gf3linalg._min_combination_weight(ones, twos, n, t))
         return best

@@ -2,7 +2,6 @@
 codes, JSON payloads, and byte-level determinism."""
 
 import contextlib
-import dataclasses
 import gc
 import hashlib
 import io
@@ -20,7 +19,7 @@ import pytest
 import ternring
 from ternring import ternary
 from ternring.cli import SELFTEST_EXPECTED_FLAGS, main
-from ternring.quantum import verify_reference_table
+from ternring.quantum import ReferenceRow, verify_reference_table
 
 
 def run_cli(*argv):
@@ -406,8 +405,12 @@ class TestQuantum:
     def test_failing_row_outranks_flag(self, monkeypatch):
         # the flagged n = 8 row comes last and must not hide a failure
         def failing_first():
-            report = verify_reference_table()
-            return [dataclasses.replace(report[0], status="fail"), *report[1:]]
+            first, *rest = verify_reference_table()
+            failed = ReferenceRow(
+                first.label, first.n, first.sign, first.generators, first.expected,
+                first.params, "fail", first.flag_id, first.notes,
+            )
+            return [failed, *rest]
 
         monkeypatch.setattr("ternring.cli.verify_reference_table", failing_first)
         code, doc, _ = run_json("quantum", "verify-paper")

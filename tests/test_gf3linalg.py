@@ -4,6 +4,7 @@ transform, against brute-force enumeration."""
 
 import itertools
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -211,14 +212,41 @@ class TestCombinationWeight:
         monkeypatch.setattr(gf3linalg, "_BLOCK_WORDS", block)
         rng = np.random.default_rng(n)
         matrix = rng.integers(0, 3, size=(6, n))
+        words = gf3linalg._mask_words(*gf3linalg._bitsliced_masks(matrix), n)
         for t in range(1, 7):
-            assert gf3linalg.min_combination_weight(matrix, t) == (
-                brute_combination_weight(matrix, t)
-            ), (block, n, t)
+            expected = brute_combination_weight(matrix, t)
+            assert gf3linalg.min_combination_weight(matrix, t) == expected, (block, n, t)
+            assert gf3linalg._packed_min_combination_weight(words, t) == expected, (
+                block, n, t
+            )
 
     def test_more_rows_than_the_matrix_is_refused(self):
         with pytest.raises(ValueError):
             gf3linalg.min_combination_weight(TETRACODE, 3)
+
+    @given(
+        st.integers(1, 20) | st.sampled_from([63, 64, 65, 128, 129]),
+        st.integers(1, 14),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_level_kernel_matches_the_packed_kernel(self, n, k, t, seed):
+        # the packed numpy kernel is the oracle of the one level kernel on
+        # both sides of its crossover: forced to the mask walk, forced to
+        # packing, and at the crossover constant, levels of 1 to 24,024
+        # limbs of random rows, dependent ones among them
+        rng = np.random.default_rng(seed)
+        matrix = rng.integers(0, 3, size=(k, n)).astype(np.int8)
+        ones, twos = gf3linalg._bitsliced_masks(matrix)
+        if t > k:
+            with pytest.raises(ValueError):
+                gf3linalg._min_combination_weight(ones, twos, n, t)
+            return
+        words = gf3linalg._mask_words(ones, twos, n)
+        expected = gf3linalg._packed_min_combination_weight(words, t)
+        for crossover in (0, gf3linalg._NUMPY_LEVEL_WORDS, 10**9):
+            with mock.patch.object(gf3linalg, "_NUMPY_LEVEL_WORDS", crossover):
+                assert gf3linalg._min_combination_weight(ones, twos, n, t) == expected
 
 
 class TestCoefficientGrid:

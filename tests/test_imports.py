@@ -1,6 +1,7 @@
 """numpy is imported on first use: the package and the commands that
-build no array run in a process where numpy cannot be imported, with the
-same exit codes and stdout as where it can."""
+build no array, distances of small codes among them, run in a process
+where numpy cannot be imported, with the same exit codes and stdout as
+where it can."""
 
 import json
 import os
@@ -42,6 +43,23 @@ COMMANDS = [
     ["code", "check-dc", "--n", "8", "--sign", "pos",
      "--f1", "x^2+1", "--f2", "x+1", "--f3", "1"],
     ["factor", "--n", "0", "--sign", "pos"],
+    # distances whose every level is below the level kernel's crossover
+    ["code", "build", "--n", "3", "--sign", "neg",
+     "--f1", "x+1", "--f2", "x^2+2x+1", "--f3", "x+1"],
+    ["code", "dual", "--n", "10", "--sign", "neg",
+     "--f1", "x^2+1", "--f2", "x^4+x^3+2x+1", "--f3", "x^4+2x^3+x+1"],
+    ["code", "distance", "--n", "6", "--sign", "pos",
+     "--f1", "x^2+2", "--f2", "x^2+2", "--f3", "2x^2+1"],
+    ["code", "distance", "--n", "11", "--sign", "pos",
+     "--f1", "x^5+2x^3+x^2+2x+2", "--f2", "1", "--f3", "x+2"],
+    ["constacyclic", "transport", "--n", "3", "--lambda", "2",
+     "--f1", "x+2", "--f2", "x+2", "--f3", "x+2"],
+    ["quantum", "params", "--n", "6", "--sign", "pos",
+     "--f1", "x^2+2", "--f2", "x^2+2", "--f3", "2x^2+1"],
+    ["quantum", "params", "--n", "12", "--sign", "neg",
+     "--f1", "x^2+x+2", "--f2", "2x^2+x+1", "--f3", "x^2+2x+2"],
+    ["quantum", "verify-paper"],
+    ["selftest", "paper"],
 ]
 results = []
 for argv in COMMANDS:
@@ -73,14 +91,46 @@ def test_commands_without_arrays_run_where_numpy_cannot_be_imported():
     assert blocked == free
     *results, loaded = free
     assert not loaded
-    assert [code for code, _ in results] == [0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 2]
+    assert [code for code, _ in results] == [0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 2] + [0] * 9
     assert all(out for code, out in results if code != 2)
+
+
+def test_distance_past_the_crossover_loads_numpy():
+    # a [40, 20, 11] code: its level 2 alone is 380 words, above
+    # _NUMPY_LEVEL_WORDS, so that level is packed for numpy
+    g = "x^20+x^19+x^18+2x^16+2x^13+x^12+x^11+2x^10+x^7+x^6+2x^5+2x^4+x^2+2x+1"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ternring.cli\n"
+         "code = ternring.cli.main(sys.argv[1:])\n"
+         "print(code, 'numpy' in sys.modules)",
+         "code", "distance", "--n", "40", "--sign", "pos",
+         "--f1", g, "--f2", g, "--f3", "1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "d_lee = 1 components = [11, 11, 1]\n0 True\n"
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import ternring.cli, sys; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    # dataclasses imports inspect, about 12 ms of every CLI process
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import ternring.cli, sys; print('dataclasses' in sys.modules)"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": SRC},

@@ -475,6 +475,35 @@ class TestGrayModule:
         with pytest.raises(ZeroCode):
             z.lee_distance()
 
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_membership_and_closure_agree_with_row_space_contains(self, n, seed):
+        # both read the held masks, and unpack no basis; the oracle is
+        # row_space_contains on the int8 basis and on int8 Gray images
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 3, size=(int(rng.integers(0, 3 * n + 1)), 3 * n))
+        m = GrayModule(rows, n)
+        probes = [*rng.integers(0, 3, size=(4, 3 * n))]
+        probes += [*(rng.integers(0, 3, size=(3, len(rows))) @ rows % 3)]
+        inside = [m.contains_gray(p) for p in probes]
+        vectors = [ungray_vector(p) for p in probes]
+        assert [m.contains(v) for v in vectors] == inside
+        ops = (cyclic_shift, negacyclic_shift, skew_cyclic_shift)
+        closed = [m.is_closed_under(op) for op in ops]
+        assert m._basis is None
+        assert inside == [
+            gf3linalg.row_space_contains(m.basis, p.reshape(1, -1)) for p in probes
+        ]
+        assert closed == [
+            gf3linalg.row_space_contains(
+                m.basis, [gray_vector(op(v)) for v in m.basis_rvectors()]
+            )
+            if m.rank
+            else True
+            for op in ops
+        ]
+        with pytest.raises(LengthMismatch):
+            m.contains(vectors[0] + vectors[0])
+
     def test_basis_is_unpacked_once_on_first_read(self, monkeypatch):
         calls = []
         for name in ("_bitsliced_masks", "_unpack_masks"):

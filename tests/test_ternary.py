@@ -67,8 +67,8 @@ def _levels_searched(monkeypatch):
     levels = []
     real = gf3linalg._min_combination_weight
 
-    def spy(rows, t):
-        weight = real(rows, t)
+    def spy(ones, twos, n, t):
+        weight = real(ones, twos, n, t)
         levels.append((t, weight))
         return weight
 

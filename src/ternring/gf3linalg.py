@@ -28,7 +28,9 @@ Python ints is faster than numpy's per-call cost, above it slower (see
 the constant), so a small code's distance imports no numpy.  Codeword
 lists and the skew sieve's tails come from one int8 coefficient grid.
 Berlekamp's kernel (``poly``) stays on masks: ``_left_kernel`` runs
-``_eliminate`` on the rows of [A | I] and builds no array.
+``_eliminate`` on the rows of [A | I] and builds no array.  A
+``poly.Z3Poly`` is held as one row, the masks of its coefficients
+(``_row_masks`` and ``_row_entries`` convert a row), and sums by ``_add``.
 
 numpy is first imported here, on first use: every module of the package
 uses the handle ``np`` below in its place, which loads numpy when an
@@ -289,16 +291,26 @@ def _combination(h1: int, h2: int, ones: list[int], twos: list[int]) -> tuple[in
     return s1, s2
 
 
+_ONES_DIGITS = bytes.maketrans(b"\0\1\2", b"010")
+_TWOS_DIGITS = bytes.maketrans(b"\0\1\2", b"001")
+_HEX_DIGITS = bytes.maketrans(b"012", b"\0\1\2")
+
+
 def _row_masks(entries) -> tuple[int, int]:
-    """The (ones, twos) masks of one row of entries in 0..2."""
-    ones = sum(1 << j for j, c in enumerate(entries) if c == 1)
-    twos = sum(1 << j for j, c in enumerate(entries) if c == 2)
-    return ones, twos
+    """The (ones, twos) masks of one row of entries in 0..2: the entries'
+    bytes, last entry first, read as two binary numerals."""
+    row = bytes(entries)[::-1]
+    ones = int(row.translate(_ONES_DIGITS) or b"0", 2)
+    return ones, int(row.translate(_TWOS_DIGITS) or b"0", 2)
 
 
 def _row_entries(ones: int, twos: int, n: int) -> list[int]:
-    """The n entries of one bit-sliced row, the inverse of ``_row_masks``."""
-    return [(ones >> j & 1) + 2 * (twos >> j & 1) for j in range(n)]
+    """The n entries of one bit-sliced row, the inverse of ``_row_masks``:
+    a mask's binary numeral read in base 16 moves bit j to hex digit j, so
+    entry j is hex digit j of ones + 2 twos (``[:n]`` drops the digit of
+    0 at n = 0).  Power-of-two bases convert in time linear in n."""
+    row = int(f"{ones:b}", 16) + 2 * int(f"{twos:b}", 16)
+    return list(f"{row:0{n}x}"[::-1][:n].encode().translate(_HEX_DIGITS))
 
 
 def _reduced(matrix) -> tuple[list[int], list[int], list[int], int]:

@@ -1,10 +1,12 @@
 """Dense univariate polynomials over GF(3).
 
-Coefficients are stored ascending (index = power of x) with trailing
-zeros stripped, so the zero polynomial is the empty tuple and
-``degree`` of zero is -1.  Text forms accepted everywhere: descending
-sums like ``x^4+2x^3+x+1`` and bracketed ascending coefficient lists
-like ``[1,1,0,2,1]``.
+A polynomial is held as the bit-sliced (ones, twos) masks of its
+coefficients (Boothby-Bradshaw 2009), the format ``gf3linalg`` owns, and
+one division step on masks, ``_divided``, serves ``Z3Poly.divmod``,
+Berlekamp's matrix and ``ternary``'s systematic rows.  ``coeffs``, the
+ascending tuple without trailing zeros, is derived when read.  Text
+forms accepted everywhere: descending sums like ``x^4+2x^3+x+1`` and
+bracketed ascending coefficient lists like ``[1,1,0,2,1]``.
 
 Factorization is deterministic: squarefree/cube splitting (this is
 characteristic 3), then Berlekamp's algorithm (Knuth, TAOCP vol. 2,
@@ -13,9 +15,8 @@ one GF(3) kernel, then gcds.  Output is always the canonically sorted
 list of monic irreducible factors with multiplicities, so two runs - or
 two different correct algorithms - print the same thing.
 
-Berlekamp's matrix is held as bit-sliced Python-int rows
-(Boothby-Bradshaw 2009) and its kernel found by ``gf3linalg``'s
-elimination on them, so this module never imports numpy (see
+Berlekamp's matrix is held as mask rows too, and its kernel found by
+``gf3linalg``'s elimination on them, so this module never imports numpy (see
 ``gf3linalg``, where it is first imported).
 """
 
@@ -51,27 +52,34 @@ __all__ = [
 
 # Largest squarefree part factor() splits.  Its Berlekamp matrix is
 # degree bit-sliced rows, 2 x degree bits wide with the identity half
-# (about 2 MB at degree 2000).  `factor --n 2000 --sign pos` takes 3.6 s
-# and `--n 1996` 4.0-4.3 s, most of it in the gcd splitting, and either
-# process peaks at 21 MB on a 2-vCPU x86_64 machine.
+# (about 2 MB at degree 2000).  `factor --n 2000 --sign pos` takes
+# 1.9-2.0 s and `--n 1996` 1.4-1.6 s, most of it in the elimination of
+# Q - I, and either process peaks at 19 MB on a 2-vCPU x86_64 machine.
 MAX_BERLEKAMP_DEGREE = 2000
 
 
 class Z3Poly:
-    """A polynomial over GF(3); immutable, compared by coefficients."""
+    """A polynomial over GF(3); immutable, compared by coefficients, and
+    held as their masks ``ones`` and ``twos`` (see the module docstring)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ones", "twos")
 
     def __init__(self, coeffs=()):
-        cs = [c % 3 for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        ones, twos = gf3linalg._row_masks([c % 3 for c in coeffs])
+        object.__setattr__(self, "ones", ones)
+        object.__setattr__(self, "twos", twos)
 
     def __setattr__(self, name, value):
         raise AttributeError("Z3Poly is immutable")
 
     # -- constructors --------------------------------------------------
+
+    @classmethod
+    def _from_masks(cls, ones: int, twos: int) -> "Z3Poly":
+        p = object.__new__(cls)
+        object.__setattr__(p, "ones", ones)
+        object.__setattr__(p, "twos", twos)
+        return p
 
     @classmethod
     def monomial(cls, degree: int, coef: int = 1) -> "Z3Poly":
@@ -80,41 +88,45 @@ class Z3Poly:
     # -- structure -----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Ascending, without trailing zeros (empty for the zero polynomial)."""
+        return tuple(gf3linalg._row_entries(self.ones, self.twos, self.degree + 1))
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return (self.ones | self.twos).bit_length() - 1
 
     @property
     def leading(self) -> int:
-        if not self.coeffs:
+        if not self:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return 1 if self.is_monic else 2
 
     @property
     def constant(self) -> int:
-        return self.coeffs[0] if self.coeffs else 0
+        return (self.ones & 1) + 2 * (self.twos & 1)
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return self.ones.bit_length() > self.twos.bit_length()
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.ones or self.twos)
 
     def __eq__(self, other):
-        if isinstance(other, Z3Poly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == Z3Poly([other]).coeffs
-        return NotImplemented
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.ones == o.ones and self.twos == o.twos
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.ones, self.twos))
 
-    def sort_key(self) -> tuple:
+    def sort_key(self) -> int:
         """Canonical order: by degree, then lexicographic on the
-        coefficient sequence read from the leading term down (the order
-        the polynomial is printed in)."""
-        return (self.degree, tuple(reversed(self.coeffs)))
+        coefficients from the leading term down (the printed order): that
+        of f(4), each mask read in base 4 (linear time, unlike base 3)."""
+        return int(f"{self.ones:b}", 4) + 2 * int(f"{self.twos:b}", 4)
 
     def __lt__(self, other: "Z3Poly") -> bool:
         return self.sort_key() < other.sort_key()
@@ -125,41 +137,42 @@ class Z3Poly:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Z3Poly([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
+        return Z3Poly._from_masks(*gf3linalg._add(self.ones, self.twos, o.ones, o.twos))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Z3Poly([-c for c in self.coeffs])
+        return Z3Poly._from_masks(self.twos, self.ones)
 
     def __sub__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return Z3Poly._from_masks(*gf3linalg._add(self.ones, self.twos, o.twos, o.ones))
 
     def __rsub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
+        # one shifted copy of the other factor per term of the factor with
+        # fewer terms
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if not a or not b:
-            return Z3Poly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return Z3Poly(out)
+        a, b = self, o
+        if (a.ones | a.twos).bit_count() > (b.ones | b.twos).bit_count():
+            a, b = b, a
+        s1 = s2 = 0
+        terms = a.ones | a.twos
+        while terms:
+            bit = terms & -terms
+            terms ^= bit
+            i = bit.bit_length() - 1
+            if a.ones & bit:
+                s1, s2 = gf3linalg._add(s1, s2, b.ones << i, b.twos << i)
+            else:
+                s1, s2 = gf3linalg._add(s1, s2, b.twos << i, b.ones << i)
+        return Z3Poly._from_masks(s1, s2)
 
     __rmul__ = __mul__
 
@@ -173,25 +186,19 @@ class Z3Poly:
         return out
 
     def divmod(self, other: "Z3Poly") -> tuple["Z3Poly", "Z3Poly"]:
-        """Quotient and remainder; the divisor may be non-monic."""
+        """Quotient and remainder; the divisor may be non-monic: for g
+        with leading coefficient 2, the quotient by 2g doubled."""
         o = _coerce(other)
-        if o is None or not isinstance(o, Z3Poly):
+        if o is None:
             raise TypeError("divisor must be a polynomial")
         if not o:
             raise DivisionByZeroPoly("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(o.coeffs)
-        if dq < 0:
-            return Z3Poly(), self
-        inv_lead = o.coeffs[-1]  # 1 and 2 are their own inverses mod 3
-        quot = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            coef = (rem[k + o.degree] * inv_lead) % 3
-            if coef:
-                quot[k] = coef
-                for j, y in enumerate(o.coeffs):
-                    rem[k + j] = (rem[k + j] - coef * y) % 3
-        return Z3Poly(quot), Z3Poly(rem[: o.degree])
+        monic = o.is_monic
+        g1, g2 = (o.ones, o.twos) if monic else (o.twos, o.ones)
+        q1, q2, r1, r2 = _divided(self.ones, self.twos, g1, g2)
+        if not monic:
+            q1, q2 = q2, q1
+        return Z3Poly._from_masks(q1, q2), Z3Poly._from_masks(r1, r2)
 
     __divmod__ = divmod
 
@@ -207,8 +214,7 @@ class Z3Poly:
     def monic(self) -> "Z3Poly":
         if not self:
             raise ZeroPolynomial("zero polynomial cannot be made monic")
-        lead = self.coeffs[-1]
-        return self if lead == 1 else Z3Poly([lead * c for c in self.coeffs])
+        return self if self.is_monic else -self
 
     def reciprocal(self) -> "Z3Poly":
         """x^deg * f(1/x): the coefficient tuple reversed."""
@@ -240,6 +246,23 @@ def _coerce(other):
     if isinstance(other, int):
         return Z3Poly([other])
     return None
+
+
+def _divided(r1: int, r2: int, g1: int, g2: int) -> tuple[int, int, int, int]:
+    """Quotient and remainder of the bit-sliced polynomial (r1, r2) by a
+    monic (g1, g2), as (q1, q2, r1, r2): while the remainder's degree is
+    at least deg g, its leading term c x^(deg g + i) is cleared by
+    subtracting c x^i g, and c x^i joins the quotient."""
+    d = g1.bit_length() - 1
+    q1 = q2 = 0
+    while (i := (r1 | r2).bit_length() - 1 - d) >= 0:
+        if r1 >> (d + i) & 1:
+            q1 |= 1 << i
+            r1, r2 = gf3linalg._add(r1, r2, g2 << i, g1 << i)
+        else:
+            q2 |= 1 << i
+            r1, r2 = gf3linalg._add(r1, r2, g1 << i, g2 << i)
+    return q1, q2, r1, r2
 
 
 _POLY_TERM = re.compile(r"^([12]?)(x(?:\^(\d+))?)?$")
@@ -372,31 +395,15 @@ class Factorization(Record):
         return (head + body) or "1"
 
 
-def _cube_root(f: Z3Poly) -> Z3Poly:
-    # f'(x) = 0 in char 3 means f(x) = g(x)^3 with g made of every
-    # third coefficient (Frobenius fixes GF(3)).
-    return Z3Poly(f.coeffs[::3])
-
-
 def _frobenius_rows(w: Z3Poly) -> tuple[list[int], list[int]]:
     """Row i of Berlekamp's matrix Q, the coefficients of x^(3i) mod w
     for 0 <= i < deg w, as bit-sliced (ones, twos) masks: each row is the
-    one before shifted up by 3, its terms of degree deg w + k (k < 3)
-    folded back in as multiples of x^(deg w + k) mod w."""
-    n = w.degree
-    wraps = [gf3linalg._row_masks((Z3Poly.monomial(n + k) % w).coeffs) for k in range(3)]
-    low = (1 << n) - 1
+    one before shifted up by 3 and reduced mod the monic w."""
     ones, twos = [1], [0]
-    for _ in range(1, n):
-        a1, a2 = ones[-1] << 3, twos[-1] << 3
-        for k, (w1, w2) in enumerate(wraps):
-            bit = 1 << (n + k)
-            if a1 & bit:
-                a1, a2 = gf3linalg._add(a1, a2, w1, w2)
-            elif a2 & bit:
-                a1, a2 = gf3linalg._add(a1, a2, w2, w1)
-        ones.append(a1 & low)
-        twos.append(a2 & low)
+    for _ in range(1, w.degree):
+        *_, a1, a2 = _divided(ones[-1] << 3, twos[-1] << 3, w.ones, w.twos)
+        ones.append(a1)
+        twos.append(a2)
     return ones, twos
 
 
@@ -430,7 +437,7 @@ def _berlekamp_split(w: Z3Poly) -> list[Z3Poly]:
     for h1, h2 in kernel:
         if len(factors) == len(kernel):
             break
-        h = Z3Poly(gf3linalg._row_entries(h1, h2, n))
+        h = Z3Poly._from_masks(h1, h2)
         split = []
         for g in factors:
             r = h % g  # a constant when g is irreducible
@@ -451,7 +458,8 @@ def _irreducible_factors(f: Z3Poly) -> dict[Z3Poly, int]:
         return {}
     deriv = f.derivative()
     if not deriv:
-        return {p: 3 * e for p, e in _irreducible_factors(_cube_root(f)).items()}
+        # f = g^3, g made of every third coefficient (Frobenius fixes GF(3))
+        return {p: 3 * e for p, e in _irreducible_factors(Z3Poly(f.coeffs[::3])).items()}
     # f / gcd(f, f') is the product of the factors whose multiplicity 3
     # does not divide; each is divided out of f completely, which leaves
     # a cube of the other factors

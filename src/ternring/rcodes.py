@@ -387,13 +387,12 @@ class RCode:
                 f"the Gray image of a length-{self.n} code of dimension {k} has "
                 f"{k * 3 * self.n} entries, above the budget of {MAX_GRAY_ENTRIES}"
             )
-        mats = [c.generator_matrix() for c in self.components]
-        out = np.zeros((k, 3 * self.n), dtype=np.int8)
-        row = 0
-        for b, m in enumerate(mats):
-            out[row : row + m.shape[0], b * self.n : (b + 1) * self.n] = m
-            row += m.shape[0]
-        return out
+        ones, twos = [], []
+        for b, c in enumerate(self.components):
+            shifts = range(b * self.n, b * self.n + c.k)
+            ones += [c.g.ones << s for s in shifts]
+            twos += [c.g.twos << s for s in shifts]
+        return gf3linalg._unpack_masks(ones, twos, 3 * self.n)
 
     def membership(self, vec) -> bool:
         vec = as_rvector(vec)
@@ -450,25 +449,16 @@ class RCode:
     def combined_generator(self) -> tuple[RingElement, ...]:
         """Coefficients (ascending) of e1*f1 + e2*f2 + e3*f3; a single
         generator whose decomposition reproduces the code."""
-        sign = self.sign  # raises MixedModuli when mixed
-        del sign
-        # a zero component is generated by the modulus, which vanishes in
-        # the quotient, so it contributes nothing
-        polys = [None if c.is_zero else c.g for c in self.components]
-        live = [p for p in polys if p is not None]
-        if not live:
-            return ()
-        length = max(p.degree for p in live) + 1
-        coeffs = []
-        for i in range(length):
-            parts = [
-                p.coeffs[i] if p is not None and i <= p.degree else 0
-                for p in polys
-            ]
-            coeffs.append(from_gray(tuple(parts)))
-        while coeffs and coeffs[-1] is ZERO:
-            coeffs.pop()
-        return tuple(coeffs)
+        self.sign  # raises MixedModuli when mixed
+        # a zero component's generator, the modulus, vanishes in the
+        # quotient; the others' masks are the Gray blocks of the generator,
+        # whose last nonzero coefficient is at the largest of their degrees
+        n = self.n
+        live = [(b * n, c.g) for b, c in enumerate(self.components) if not c.is_zero]
+        ones = sum(g.ones << shift for shift, g in live)
+        twos = sum(g.twos << shift for shift, g in live)
+        length = max((g.degree + 1 for _, g in live), default=0)
+        return _ungray_masks(ones, twos, n)[:length]
 
 
 def decompose_generator(coeffs, n: int, sign: ModulusSign) -> RCode:

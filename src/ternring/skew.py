@@ -308,9 +308,10 @@ def monic_right_divisors(n: int, lam) -> tuple[SkewPoly, ...]:
         tails = _coefficient_grid(2 * d).reshape(-1, d, 2)
         survivors = _pair_division_sieve(m23, tails, d)
         for g1 in firsts:
+            head = g1.coeffs
             for tail in survivors:
                 coeffs = [
-                    from_gray((g1.coeffs[i], int(tail[i, 0]), int(tail[i, 1])))
+                    from_gray((head[i], int(tail[i, 0]), int(tail[i, 1])))
                     for i in range(d)
                 ]
                 coeffs.append(ONE)

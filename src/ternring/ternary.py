@@ -7,9 +7,10 @@ divisibility-based membership test.
 
 Both exact invariants start from the systematic matrix [I_k | P], built
 without elimination: row j is x^j + x^k s_j, s_j being the remainder of
--x^(j-k) modulo g (systematic encoding by division), and the same
-recurrence carried on to -x^(-n) checks that g divides the modulus.  Its
-rows are bit-sliced (ones, twos) masks, the format ``gf3linalg`` owns.
+-x^(j-k) modulo g (systematic encoding by division), read off one
+forward chain of remainders of powers of x by ``poly``'s one division
+step, and the same chain checks that g divides the modulus.  Its rows
+are bit-sliced (ones, twos) masks, the format ``gf3linalg`` owns.
 The weight distribution enumerates the smaller of the code and its dual
 (dimension at most 14) as words, the dual side carried over by the
 MacWilliams transform.  Minimum Hamming distance has one exact engine for
@@ -36,7 +37,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .gf3linalg import np
-from .poly import ModulusSign, Z3Poly, modulus
+from .poly import ModulusSign, Z3Poly, _divided, modulus
 
 __all__ = ["TernaryPolyCode", "MAX_DISTANCE_WORDS"]
 
@@ -103,11 +104,10 @@ class TernaryPolyCode:
     def generator_matrix(self) -> np.ndarray:
         """k x n matrix whose rows are the coefficient vectors of
         x^i * g for 0 <= i < k."""
-        rows = np.zeros((self.k, self.n), dtype=np.int8)
-        coeffs = self.g.coeffs
-        for i in range(self.k):
-            rows[i, i : i + len(coeffs)] = coeffs
-        return rows
+        g, k = self.g, self.k
+        return gf3linalg._unpack_masks(
+            [g.ones << i for i in range(k)], [g.twos << i for i in range(k)], self.n
+        )
 
     def codewords(self) -> np.ndarray:
         """All 3^k codewords (for small k), the zero word first."""
@@ -153,43 +153,31 @@ class TernaryPolyCode:
         ``BudgetExceeded`` when both dimensions exceed the enumeration
         cap."""
         small = self if self.k <= self.n - self.k else self.dual()
-        dist = gf3linalg._weight_distribution(small._systematic_words(), self.n)
+        words = gf3linalg._mask_words(*small._systematic_masks(), self.n)
+        dist = gf3linalg._weight_distribution(words, self.n)
         if small is self:
             return dist
         return gf3linalg.macwilliams_transform(dist, small.k)
 
-    def _systematic_words(self) -> np.ndarray:
-        """``_systematic_masks`` as the words of the enumeration kernels."""
-        return gf3linalg._mask_words(*self._systematic_masks(), self.n)
-
     def _systematic_masks(self) -> tuple[list[int], list[int]]:
-        """The rows of [I_k | P] as bit-sliced (ones, twos) masks, read
-        off the remainders of powers of x modulo g.  Row j is
-        x^j + x^k s_j, with s_j = -x^(j-k) mod g: from s_k = -1, each s is
-        the last one divided by x mod g, by adding the multiple of g that
-        clears its constant term and shifting right.  Carried on to
-        s_(k-n) = -x^(-n) mod g, the recurrence ends at the constant 2
-        exactly when g divides x^n - 1 and at 1 when it divides x^n + 1;
-        any other end raises ``SelfCheckFailed``."""
-        n, k, coeffs = self.n, self.k, self.g.coeffs
-        g1, g2 = gf3linalg._row_masks(coeffs)
-        # (a1, a2): the multiple of g with constant term 2, g(0) being its
-        # own inverse; -a has the planes swapped
-        a1, a2 = (g2, g1) if coeffs[0] == 1 else (g1, g2)
-        ones, twos = [0] * k, [0] * k
-        s1, s2 = 0, 1
-        for j in range(k - 1, k - n - 1, -1):
-            if s1 & 1:
-                s1, s2 = gf3linalg._add(s1, s2, a1, a2)
-            elif s2 & 1:
-                s1, s2 = gf3linalg._add(s1, s2, a2, a1)
-            s1, s2 = s1 >> 1, s2 >> 1
-            if j >= 0:
-                ones[j] = (1 << j) | (s1 << k)
-                twos[j] = s2 << k
-        end = (0, 1) if self.sign is ModulusSign.PLUS else (1, 0)
-        if self.g.degree and (not coeffs[0] or (s1, s2) != end):
-            raise SelfCheckFailed(f"{self.g} does not divide {self.modulus}")
+        """The rows of [I_k | P] as bit-sliced (ones, twos) masks.  Row j
+        is x^j + x^k s_j, s_j = -x^(j-k) = -w x^(n-k+j) mod g for the wrap
+        constant w (x^n = w mod g): each s is the last times x, reduced by
+        ``poly._divided``.  Carried on to s_k = -w x^n mod g, the chain ends
+        at -1 exactly when g divides x^n - w, else ``SelfCheckFailed``."""
+        k, g = self.k, self.g
+        g1, g2 = g.ones, g.twos
+        # s_0 = -w x^(n-k) mod g = w (g - x^(n-k)), g being monic
+        s1, s2 = g1 ^ 1 << g.degree, g2
+        if self.sign is ModulusSign.MINUS:
+            s1, s2 = s2, s1
+        ones, twos = [], []
+        for j in range(k):
+            ones.append(1 << j | s1 << k)
+            twos.append(s2 << k)
+            *_, s1, s2 = _divided(s1 << 1, s2 << 1, g1, g2)
+        if g.degree and (s1, s2) != (0, 1):
+            raise SelfCheckFailed(f"{g} does not divide {self.modulus}")
         return ones, twos
 
     def min_distance(self) -> int:

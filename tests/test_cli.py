@@ -575,6 +575,20 @@ class TestUsage:
             "c15aad18088b44844514ddd1945d63cf9da517f88a42b5b18457902414a601fe"
         )
 
+    def test_factor_order_is_unchanged(self):
+        # the printed order of the factors of x^n -+ 1, n <= 60: the digest
+        # is of the output of the coefficient-tuple Z3Poly and its
+        # (degree, coefficients from the top) sort key
+        digest = hashlib.sha256()
+        for n in range(1, 61):
+            for sign in ("pos", "neg"):
+                code, out, _ = run_cli("factor", "--n", str(n), "--sign", sign)
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "bc9599f02f58fa78b175a51a647c571162c78e4810c29de55dbbf490f927b773"
+        )
+
     def test_factor_budget_exits_one_without_traceback(self):
         proc = run_module("--json", "factor", "--n", "100003", "--sign", "pos")
         assert proc.returncode == 1

@@ -3,6 +3,7 @@ the weight-distribution kernel, minimum weight, and the MacWilliams
 transform, against brute-force enumeration."""
 
 import itertools
+import time
 from math import comb
 from unittest import mock
 
@@ -272,6 +273,32 @@ def unpack_words(ones, twos, n):
     )
     assert not ones_bits[:, n:].any() and not twos_bits[:, n:].any()
     return (ones_bits[:, :n] + 2 * twos_bits[:, :n]).astype(np.int8)
+
+
+class TestRowConverters:
+    @given(
+        st.integers(0, 130) | st.sampled_from([63, 64, 65, 128, 129]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_row_masks_and_entries_round_trip(self, n, seed):
+        entries = np.random.default_rng(seed).integers(0, 3, size=n).tolist()
+        ones, twos = gf3linalg._row_masks(entries)
+        # bit j of each mask is entry j, read one bit at a time
+        assert ones == sum(1 << j for j, c in enumerate(entries) if c == 1)
+        assert twos == sum(1 << j for j, c in enumerate(entries) if c == 2)
+        assert gf3linalg._row_entries(ones, twos, n) == entries
+        # the matrix converter gives the same masks
+        if n:
+            row = np.array([entries], dtype=np.int8)
+            assert gf3linalg._bitsliced_masks(row) == ([ones], [twos])
+
+    def test_long_rows_convert_in_linear_time(self):
+        # degree 10^5, the largest modulus the parsers accept
+        n = 100_001
+        entries = np.random.default_rng(1).integers(0, 3, size=n).tolist()
+        start = time.perf_counter()
+        assert gf3linalg._row_entries(*gf3linalg._row_masks(entries), n) == entries
+        assert time.perf_counter() - start < 0.25
 
 
 class TestAdder:

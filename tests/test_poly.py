@@ -61,6 +61,81 @@ def random_poly(rng, max_degree):
     return Z3Poly(coeffs)
 
 
+# -- the coefficient-tuple arithmetic Z3Poly was built on, kept as its
+# oracle: ascending tuples in 0..2 without trailing zeros, O(deg^2) loops
+
+
+def trimmed(coeffs):
+    cs = [c % 3 for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def tuple_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return trimmed(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a))
+
+
+def tuple_neg(a):
+    return trimmed(-c for c in a)
+
+
+def tuple_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trimmed(out)
+
+
+def tuple_divmod(a, b):
+    """Quotient and remainder by a nonzero b, which may be non-monic."""
+    rem = list(a)
+    dq = len(rem) - len(b)
+    if dq < 0:
+        return (), a
+    inv_lead = b[-1]  # 1 and 2 are their own inverses mod 3
+    quot = [0] * (dq + 1)
+    for k in range(dq, -1, -1):
+        coef = rem[k + len(b) - 1] * inv_lead % 3
+        if coef:
+            quot[k] = coef
+            for j, y in enumerate(b):
+                rem[k + j] = (rem[k + j] - coef * y) % 3
+    return trimmed(quot), trimmed(rem[: len(b) - 1])
+
+
+def tuple_monic(a):
+    return trimmed(a[-1] * c for c in a)
+
+
+def tuple_gcd(a, b):
+    while b:
+        a, b = b, tuple_divmod(a, b)[1]
+    return tuple_monic(a)
+
+
+def tuple_evaluate(a, t):
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * t + c) % 3
+    return acc
+
+
+def tuple_order(a):
+    """By degree, then the coefficients from the leading term down."""
+    return (len(a) - 1, tuple(reversed(a)))
+
+
+# coefficient lists up to degree 130 (masks of one, two and three 64-bit
+# limbs), entries outside 0..2 standing for their residues
+coefficient_lists = st.lists(st.integers(-3, 5), max_size=131)
+
+
 class TestConstruction:
     def test_normalization(self):
         assert Z3Poly([1, 2, 0, 0]).coeffs == (1, 2)
@@ -180,6 +255,49 @@ class TestArithmetic:
     def test_derivative(self):
         assert P("x^3+x^2+2x+1").derivative() == P("2x+2")
         assert P("x^3+1").derivative() == Z3Poly(())
+
+
+    @given(coefficient_lists, coefficient_lists, st.integers(-3, 5), st.data())
+    def test_operations_match_the_tuple_oracle(self, a, b, t, data):
+        f, g = Z3Poly(a), Z3Poly(b)
+        fa, gb = trimmed(a), trimmed(b)
+        assert (f.coeffs, g.coeffs) == (fa, gb)
+        assert (f.degree, f.constant) == (len(fa) - 1, fa[0] if fa else 0)
+        assert (f + g).coeffs == tuple_add(fa, gb)
+        assert (f - g).coeffs == tuple_add(fa, tuple_neg(gb))
+        assert (-f).coeffs == tuple_neg(fa)
+        assert (f * g).coeffs == tuple_mul(fa, gb)
+        # integers are constant polynomials on either side
+        assert (t + f).coeffs == (f + t).coeffs == tuple_add(fa, trimmed([t]))
+        assert (t - f).coeffs == tuple_add(trimmed([t]), tuple_neg(fa))
+        assert (t * f).coeffs == (f * t).coeffs == tuple_mul(fa, trimmed([t]))
+        if gb:
+            q, r = f.divmod(g)
+            assert (q.coeffs, r.coeffs) == tuple_divmod(fa, gb)
+            assert (f // g, f % g) == (q, r)
+        if fa or gb:
+            assert gcd(f, g).coeffs == tuple_gcd(fa, gb)
+        if fa:
+            assert (f.leading, f.is_monic) == (fa[-1], fa[-1] == 1)
+            assert f.monic().coeffs == tuple_monic(fa)
+            assert f.reciprocal().coeffs == trimmed(reversed(fa))
+        assert f.derivative().coeffs == trimmed([i * c for i, c in enumerate(fa)][1:])
+        assert f.evaluate(t) == tuple_evaluate(fa, t)
+        assert str(f) == str(Z3Poly(fa)) and P(str(f)) == f
+        # a copy with one coefficient redrawn: equal and hashed alike
+        # exactly when the coefficients are, ordered as the oracle orders
+        i = data.draw(st.integers(0, len(a))) if a else 0
+        c = data.draw(st.integers(0, 2))
+        h = Z3Poly([*a[:i], c, *a[i + 1 :]])
+        ha = h.coeffs
+        for x, xa in ((g, gb), (h, ha), (Z3Poly(fa), fa)):
+            assert (f == x) == (fa == xa)
+            assert (f < x) == (tuple_order(fa) < tuple_order(xa))
+            if fa == xa:
+                assert hash(f) == hash(x)
+        assert sorted([h, g, f]) == [
+            Z3Poly(p) for p in sorted([ha, gb, fa], key=tuple_order)
+        ]
 
 
 class TestGcd:
@@ -386,7 +504,7 @@ class TestBerlekamp:
             ones, twos = poly._frobenius_rows(w)
             assert len(ones) == len(twos) == w.degree
             for i, (a1, a2) in enumerate(zip(ones, twos)):
-                want = (Z3Poly.monomial(3 * i) % w).coeffs
+                want = tuple_divmod((0,) * (3 * i) + (1,), w.coeffs)[1]
                 assert a1 == sum(1 << j for j, c in enumerate(want) if c == 1)
                 assert a2 == sum(1 << j for j, c in enumerate(want) if c == 2)
 

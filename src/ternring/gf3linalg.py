@@ -25,8 +25,7 @@ kernel, ``_min_combination_weight``, behind ``min_combination_weight``:
 it takes masks, and packs them into words for numpy only for a level of
 more than ``_NUMPY_LEVEL_WORDS`` limbs.  Below that size a walk on
 Python ints is faster than numpy's per-call cost, above it slower (see
-the constant), so a small code's distance imports no numpy.  Codeword
-lists and the skew sieve's tails come from one int8 coefficient grid.
+the constant), so a small code's distance imports no numpy.
 Berlekamp's kernel (``poly``) stays on masks: ``_left_kernel`` runs
 ``_eliminate`` on the rows of [A | I] and builds no array.  A
 ``poly.Z3Poly`` is held as one row, the masks of its coefficients
@@ -165,7 +164,12 @@ def _bitsliced_masks(a: np.ndarray) -> tuple[list[int], list[int]]:
 def _unpack_masks(ones: list[int], twos: list[int], n: int) -> np.ndarray:
     """The int8 (rows, n) matrix of length-n bit-sliced rows, the inverse
     of ``_bitsliced_masks``, read off their words."""
-    planes = _mask_words(ones, twos, n).view(np.uint8)
+    return _unpack_words(_mask_words(ones, twos, n), n)
+
+
+def _unpack_words(words, n: int) -> np.ndarray:
+    """The int8 (rows, n) matrix of length-n words given as (ones, twos) planes."""
+    planes = np.asarray(words).view(np.uint8)
     bits = np.unpackbits(planes, axis=-1, count=n, bitorder="little")
     return (bits[0] + 2 * bits[1]).view(np.int8)
 
@@ -377,19 +381,6 @@ def mat_mul(a, b) -> np.ndarray:
     """(a @ b) mod 3 without int8 overflow."""
     prod = as_gf3(a).astype(np.int64) @ as_gf3(b).astype(np.int64)
     return (prod % 3).astype(np.int8)
-
-
-def _coefficient_grid(k: int) -> np.ndarray:
-    """All 3^k coefficient vectors as a (3^k, k) int8 array in
-    lexicographic order, the all-zero vector first."""
-    return np.indices((3,) * k, dtype=np.int8).reshape(k, 3**k).T
-
-
-def _span(basis: np.ndarray) -> np.ndarray:
-    """All 3^k combinations of the k basis rows as int8 words, the zero
-    word first."""
-    grid = _coefficient_grid(basis.shape[0]).astype(np.int64)
-    return ((grid @ basis.astype(np.int64)) % 3).astype(np.int8)
 
 
 def _bitsliced_span(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

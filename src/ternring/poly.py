@@ -252,8 +252,11 @@ def _divided(r1: int, r2: int, g1: int, g2: int) -> tuple[int, int, int, int]:
     """Quotient and remainder of the bit-sliced polynomial (r1, r2) by a
     monic (g1, g2), as (q1, q2, r1, r2): while the remainder's degree is
     at least deg g, its leading term c x^(deg g + i) is cleared by
-    subtracting c x^i g, and c x^i joins the quotient."""
+    subtracting c x^i g, and c x^i joins the quotient.  A divisor that
+    is not monic raises ``ValueError``: its ones plane misreads deg g."""
     d = g1.bit_length() - 1
+    if g2.bit_length() > d:
+        raise ValueError("the divisor must be monic")
     q1 = q2 = 0
     while (i := (r1 | r2).bit_length() - 1 - d) >= 0:
         if r1 >> (d + i) & 1:

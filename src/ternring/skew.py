@@ -24,7 +24,7 @@ from .errors import (
     SelfCheckFailed,
     ZeroPolynomial,
 )
-from .gf3linalg import _coefficient_grid, np
+from .gf3linalg import _add
 from .poly import ModulusSign, factor, modulus
 from .rcodes import (
     GrayModule,
@@ -67,8 +67,8 @@ __all__ = [
 ]
 
 
-# Largest tail grid the right-divisor sieve builds: 9^6 rows, the
-# degree-6 sieve that n = 12 and n = 13 need.
+# Most candidate tails one right-divisor sieve divides, one bit of each
+# plane a tail: 9^6, the degree-6 sieve that n = 12 and n = 13 need.
 MAX_SIEVE_TAILS = 9**6
 
 # Longest vector length s*l of a module the builder closes: the closure
@@ -272,8 +272,8 @@ def monic_right_divisors(n: int, lam) -> tuple[SkewPoly, ...]:
     homomorphism onto ternary polynomials; a right divisor must project
     to a monic divisor of x^n - t where t is the first Gray coordinate
     of lam.  The other two Gray coordinates twist into each other and
-    are sieved by a vectorized right division over all 9^d tails of
-    digit pairs, read as the int8 coefficient grid of 3^(2d) vectors;
+    are sieved by one right division over all 9^d tails of digit pairs
+    at once, on bit planes with one bit per tail (``_pair_division_sieve``);
     every survivor is confirmed by an actual skew right division, which
     also gives its cofactor q in x^n - lam = q*g.
 
@@ -283,10 +283,10 @@ def monic_right_divisors(n: int, lam) -> tuple[SkewPoly, ...]:
     n - d, and g -> mirror(q) is an involution between the degrees d and
     n - d.  Each mirrored divisor is confirmed by right division too.
 
-    Raises ``BudgetExceeded`` when a tail grid would have more than
-    ``MAX_SIEVE_TAILS`` rows (every n <= 13 fits).  The sieve degrees
+    Raises ``BudgetExceeded`` when a sieve would divide more than
+    ``MAX_SIEVE_TAILS`` tails (every n <= 13 fits).  The sieve degrees
     are read off the ternary factorization, so the refusal comes before
-    any divisor is listed or any grid is built."""
+    any divisor is listed or any plane is built."""
     lam = _require_unit(lam)
     m = power_minus_constant(n, lam)
     sign1 = ModulusSign.PLUS if lam.gray[0] == 1 else ModulusSign.MINUS
@@ -298,24 +298,13 @@ def monic_right_divisors(n: int, lam) -> tuple[SkewPoly, ...]:
             f"9^{degrees[-1]} tails, above the budget of {MAX_SIEVE_TAILS}"
         )
     base_divisors = fact.divisors()
-    m23 = np.array(
-        [[m.coeff(i).gray[1], m.coeff(i).gray[2]] for i in range(n + 1)],
-        dtype=np.int8,
-    )
     low = [SkewPoly([ONE])]
     for d in degrees:
-        firsts = [g for g in base_divisors if g.degree == d]
-        tails = _coefficient_grid(2 * d).reshape(-1, d, 2)
-        survivors = _pair_division_sieve(m23, tails, d)
-        for g1 in firsts:
-            head = g1.coeffs
+        survivors = _pair_division_sieve(m, d)
+        for head in [g.coeffs for g in base_divisors if g.degree == d]:
             for tail in survivors:
-                coeffs = [
-                    from_gray((head[i], int(tail[i, 0]), int(tail[i, 1])))
-                    for i in range(d)
-                ]
-                coeffs.append(ONE)
-                low.append(SkewPoly(coeffs))
+                coeffs = [from_gray((h, *pair)) for h, pair in zip(head, tail)]
+                low.append(SkewPoly([*coeffs, ONE]))
     found = []
     for g in low:
         q, r = skew_right_divmod(m, g)
@@ -330,8 +319,7 @@ def monic_right_divisors(n: int, lam) -> tuple[SkewPoly, ...]:
                     f"x^{n}-({lam})"
                 )
             found.append(h)
-    found.sort(key=SkewPoly.sort_key)
-    return tuple(found)
+    return tuple(sorted(found, key=SkewPoly.sort_key))
 
 
 def _mirror(p: SkewPoly) -> SkewPoly:
@@ -340,26 +328,39 @@ def _mirror(p: SkewPoly) -> SkewPoly:
     return SkewPoly([c.theta() if i % 2 else c for i, c in enumerate(p.coeffs)])
 
 
-def _pair_division_sieve(m23: np.ndarray, tails: np.ndarray, d: int) -> np.ndarray:
-    """Batch right division in the twisted pair ring (componentwise
-    products, components swapping when passing x): returns the tails
-    whose monic candidate leaves zero remainder against m23.  Everything
-    stays int8: each step subtracts a product of two digits, so no
-    intermediate leaves -4..4."""
-    n = m23.shape[0] - 1
-    batch = tails.shape[0]
-    lead = np.ones((batch, 1, 2), dtype=np.int8)
-    divisors = np.concatenate([tails, lead], axis=1)  # (B, d+1, 2)
-    swapped = divisors[:, :, ::-1]
-    rem = np.tile(m23, (batch, 1, 1))
-    for t in range(n - d, -1, -1):
-        q = rem[:, t + d, :].copy()
-        g = divisors if t % 2 == 0 else swapped
-        rem[:, t : t + d + 1, :] = (
-            rem[:, t : t + d + 1, :] - q[:, None, :] * g
-        ) % 3
-    keep = ~np.any(rem[:, :d, :], axis=(1, 2))
-    return tails[keep]
+def _pair_division_sieve(m: SkewPoly, d: int) -> list[tuple[tuple[int, int], ...]]:
+    """The tails of digit pairs whose monic degree-d candidate right-divides
+    the last two Gray coordinates of m in the twisted pair ring (products
+    componentwise, components swapping when passing x), in increasing r.
+    All 9^d tails are divided at once: tail r, with pairs the base-9 digits
+    of r, is bit r of every plane, and each digit a (ones, twos) plane pair."""
+    size = 9**d
+    full = (1 << size) - 1
+    planes = []
+    for run in [3**j for j in range(2 * d)][::-1]:
+        # the digit of weight run is 0, 1, 2 on consecutive runs of r
+        ones, width = ((1 << run) - 1) << run, 3 * run
+        while width < size:
+            ones, width = ones | ones << width, 2 * width
+        planes.append((ones & full, ones << run & full))
+    rem = [[(full * (c == 1), full * (c == 2)) for c in e.gray[1:]] for e in m.coeffs]
+    for t in range(m.degree - d, -1, -1):
+        # coefficient t + d, cleared by this step, is not read again
+        quotient = rem.pop()
+        for i, row in enumerate(rem[t:]):
+            for c, (q1, q2) in enumerate(quotient):
+                # x^t twists g's components t times; -q*g is q*g, planes swapped
+                g1, g2 = planes[2 * i + (c ^ (t & 1))]
+                row[c] = _add(*row[c], q1 & g2 | q2 & g1, q1 & g1 | q2 & g2)
+    kept = full
+    for (a1, a2), (b1, b2) in rem:
+        kept &= ~(a1 | a2 | b1 | b2)
+    bits = f"{kept:b}"[::-1]
+    tails, r = [], bits.find("1")
+    while r >= 0:
+        tails.append(tuple(divmod(r // 9 ** (d - 1 - i) % 9, 3) for i in range(d)))
+        r = bits.find("1", r + 1)
+    return tails
 
 
 # -- skew cyclic codes ------------------------------------------------------

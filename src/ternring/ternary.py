@@ -111,7 +111,11 @@ class TernaryPolyCode:
 
     def codewords(self) -> np.ndarray:
         """All 3^k codewords (for small k), the zero word first."""
-        return gf3linalg._span(self.generator_matrix())
+        g, rows = self.g, range(self.k - 1, -1, -1)
+        words = gf3linalg._mask_words(
+            [g.ones << i for i in rows], [g.twos << i for i in rows], self.n
+        )
+        return gf3linalg._unpack_words(gf3linalg._bitsliced_span(words), self.n)
 
     # -- operations ----------------------------------------------------
 

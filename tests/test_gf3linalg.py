@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from ternring import gf3linalg
 from ternring.errors import BudgetExceeded, SelfCheckFailed
+from ternring.poly import ModulusSign, divisors_of_modulus
+from ternring.ternary import TernaryPolyCode
 
 TETRACODE = [[1, 0, 1, 1], [0, 1, 1, 2]]
 
@@ -250,18 +252,27 @@ class TestCombinationWeight:
                 assert gf3linalg._min_combination_weight(ones, twos, n, t) == expected
 
 
-class TestCoefficientGrid:
+def int8_span(basis):
+    """All 3^k combinations of the k rows of an int8 matrix as int8 words,
+    the coefficient vectors in product order (the first row's coefficient
+    varies slowest), the zero word first."""
+    k, n = basis.shape
+    coeffs = np.array(list(itertools.product(range(3), repeat=k)), dtype=np.int64)
+    return (coeffs.reshape(3**k, k) @ basis.astype(np.int64) % 3).astype(np.int8)
+
+
+class TestCodewords:
     def test_int8_rows_in_product_order(self):
-        # the one int8 grid behind codeword lists and skew tails (the
-        # weight-distribution kernel builds bit-sliced spans instead)
-        for k in range(9):
-            grid = gf3linalg._coefficient_grid(k)
-            expected = np.array(
-                list(itertools.product(range(3), repeat=k)), dtype=np.int8
-            ).reshape(3**k, k)
-            assert grid.dtype == np.int8
-            assert grid.shape == (3**k, k)
-            assert np.array_equal(grid, expected), k
+        # a code's words are the int8 span of its generator matrix x^i g
+        for n in range(1, 9):
+            for sign in ModulusSign:
+                for g in divisors_of_modulus(n, sign):
+                    code = TernaryPolyCode(n, sign, g)
+                    words = code.codewords()
+                    assert words.dtype == np.int8
+                    assert words.shape == (3**code.k, n)
+                    expected = int8_span(code.generator_matrix())
+                    assert np.array_equal(words, expected), (n, sign, g)
 
 
 def unpack_words(ones, twos, n):
@@ -355,13 +366,13 @@ class TestBitslicedSpan:
     @pytest.mark.parametrize("n", [1, 5, 64, 70])
     def test_unpacks_to_the_int8_span(self, n):
         # the bit-sliced span lists the words of the int8 span of the
-        # reversed rows, in the same order
+        # reversed rows, in the same order (its last row varies slowest)
         rng = np.random.default_rng(n)
         for k in range(5):
             basis = rng.integers(0, 3, size=(k, n)).astype(np.int8)
             rows = gf3linalg._mask_words(*gf3linalg._bitsliced_masks(basis), n)
             words = unpack_words(*gf3linalg._bitsliced_span(rows), n)
-            assert np.array_equal(words, gf3linalg._span(basis[::-1])), (n, k)
+            assert np.array_equal(words, int8_span(basis[::-1])), (n, k)
 
 
 class TestMacWilliams:

@@ -60,6 +60,13 @@ COMMANDS = [
      "--f1", "x^2+x+2", "--f2", "2x^2+x+1", "--f3", "x^2+2x+2"],
     ["quantum", "verify-paper"],
     ["selftest", "paper"],
+    # the right-divisor sieve runs on Python-int planes
+    ["skew", "divisors", "--s", "1", "--lambda", "1"],
+    ["skew", "divisors", "--s", "2", "--lambda", "1"],
+    ["skew", "divisors", "--s", "4", "--lambda", "1"],
+    ["skew", "divisors", "--s", "1", "--lambda", "1+v^2"],
+    ["skew", "divisors", "--s", "2", "--lambda", "1+v^2"],
+    ["skew", "divisors", "--s", "4", "--lambda", "1+v^2"],
 ]
 results = []
 for argv in COMMANDS:
@@ -91,7 +98,7 @@ def test_commands_without_arrays_run_where_numpy_cannot_be_imported():
     assert blocked == free
     *results, loaded = free
     assert not loaded
-    assert [code for code, _ in results] == [0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 2] + [0] * 9
+    assert [code for code, _ in results] == [0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 2] + [0] * 15
     assert all(out for code, out in results if code != 2)
 
 

@@ -244,6 +244,21 @@ class TestArithmetic:
         with pytest.raises(DivisionByZeroPoly):
             divmod(P("x+1"), Z3Poly(()))
 
+    def test_mask_division_refuses_a_divisor_that_is_not_monic(self):
+        # the mask step reads the degree off the ones plane, so without
+        # the check a leading 2 would never be cleared
+        f, g = P("x^3+2x+1"), P("2x+2")
+        start = time.perf_counter()
+        for g1, g2 in ((g.ones, g.twos), (0, 0), (0, 1)):
+            with pytest.raises(ValueError):
+                poly._divided(f.ones, f.twos, g1, g2)
+        assert time.perf_counter() - start < 1
+        # the same masks normalised divide
+        q, r = divmod(f, -g)
+        assert poly._divided(f.ones, f.twos, g.twos, g.ones) == (
+            q.ones, q.twos, r.ones, r.twos
+        )
+
     def test_divides(self):
         assert P("x+1").divides(P("x^3+1"))
         assert not P("x+2").divides(P("x^3+1"))

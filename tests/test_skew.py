@@ -3,6 +3,7 @@ divisors and the left modules they generate, code counts, the
 Hermitian pairing against shifted Euclidean orthogonality, and common
 left divisors."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -82,6 +83,34 @@ def monic_right_divisors_brute(n, lam):
                 found.append(cand)
     found.sort(key=SkewPoly.sort_key)
     return tuple(found)
+
+
+# sha256 of the divisor lists of x^s - lam, one line "lam: g g ..." per
+# unit in UNITS order, and the refusal messages, taken from the int8 grid
+# sieve that the bit-plane sieve replaced.
+DIVISOR_LIST_DIGESTS = {
+    1: "dfb6697ac32454255e9155518fe28b6f80fac7d82f74aa7dfd20549bbccd7bf6",
+    2: "36ab3df36196f6d1b5141e7a140f1d169c8bae42b87077da1f1825fa6da59bc4",
+    3: "6999b127154f428c882e8bd053b40173ebccdbc36fcec590eb3975ce6b00b6ae",
+    4: "f06a13642355dab4853f19d57f6057d131690ed47cb19bb7eb188d66aab30ce4",
+    5: "8a993995daf472f578eb6c98f6cbcaebffc1555432f5c20cce20d1b0d8c027a2",
+    6: "99b3007d1d451c3a773ff66d4555db584ff5e91e325e1ab3eba7508b25c0f493",
+    7: "26c1b0df42ddfa462b446889e475a8802091efdfb444e07caae20887ad935ab4",
+    8: "78d89d89af0b956eb5696d68c7847a7e92ef42c4f659be23a73d051011fb87b6",
+    9: "1eea085cf398d0769471eaca04253cc1a2c9d96381108db39232494a977850d2",
+    10: "e8f27702340d5f4905efa1428ca828197d63b2a09dece0d4c25fbbdee3673a75",
+    11: "923db26f0270b1d416e00eac7bc680d8bf91cfe8b236545eb7b029aed1bb0fc2",
+    12: "cae138897cd7c546169835b2e15ad98937a94dbb2d412a0344805aa244a49fe0",
+    13: "2ec237cdd440e3ee11794cba9947b82f204f9dfd2846c1437b5e9920a9e7819a",
+    17: "3df75c2514eda9314ca23e9904cd903f810f75d21c4c72ccfeb2d7254d12cba9",
+}
+SIEVE_REFUSALS = {
+    14: "right divisors of x^14-(1) need a sieve over 9^7 tails, above the budget of 531441",
+    16: "right divisors of x^16-(1) need a sieve over 9^8 tails, above the budget of 531441",
+    80: "right divisors of x^80-(1) need a sieve over 9^40 tails, above the budget of 531441",
+}
+
+
 E = parse_element
 
 RNG = random.Random(20260815)
@@ -253,8 +282,8 @@ class TestRightDivisors:
 
     def test_sieve_memory_at_s6(self):
         # s = 6 sieves the 9^3 tails of degree 3 and mirrors the rest;
-        # the tails are int8 grid rows and the sieve stays in int8, which
-        # keeps the peak of numpy allocations under 64 MB
+        # the tails are bits of a few planes, which keeps the traced peak
+        # under 64 MB
         tracemalloc.start()
         try:
             monic_right_divisors(6, 1)
@@ -265,7 +294,7 @@ class TestRightDivisors:
 
     def test_divisor_counts_above_degree_six(self):
         # s = 7 lists are the full sieve's; s = 8 was checked for every
-        # unit against the full sieve run on chunks of the tail grid
+        # unit against the full sieve run on chunks of the tails
         assert [len(monic_right_divisors(7, lam)) for lam in UNITS] == [4] * 8
         assert [len(monic_right_divisors(8, lam)) for lam in UNITS] == [
             1226, 122, 426, 10, 10, 186, 26, 26,
@@ -298,7 +327,7 @@ class TestRightDivisors:
             assert _mirror(_mirror(f)) == f
 
     def test_sieve_memory_at_s10(self):
-        # only degrees up to 5 are sieved: 9^5 tails, not 9^10
+        # only degrees up to 5 are sieved: planes of 9^5 tails, not 9^10
         tracemalloc.start()
         try:
             monic_right_divisors(10, 1)
@@ -318,8 +347,22 @@ class TestRightDivisors:
                 monic_right_divisors(s, 1)
             assert time.perf_counter() - start < 5
         assert len(monic_right_divisors(17, 1)) == 4
-        # s = 12 sieves exactly 9^6 tails, the largest grid admitted
+        # s = 12 sieves exactly 9^6 tails, the largest sieve admitted
         assert len(monic_right_divisors(12, UNITS[3])) == 20
+
+    def test_lists_and_refusals_are_pinned(self):
+        # every s <= 13 and s = 17, all 8 units, against the digests of
+        # the grid sieve's lists; s <= 3 is also checked against brute force
+        for s, digest in DIVISOR_LIST_DIGESTS.items():
+            text = "\n".join(
+                f"{lam}: " + " ".join(str(g) for g in monic_right_divisors(s, lam))
+                for lam in UNITS
+            )
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, s
+        for s, message in SIEVE_REFUSALS.items():
+            with pytest.raises(BudgetExceeded) as refused:
+                monic_right_divisors(s, 1)
+            assert str(refused.value) == message
 
     def test_mirrored_divisor_is_confirmed(self, monkeypatch):
         # the cofactor without the twist is no right divisor here

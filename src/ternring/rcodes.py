@@ -10,11 +10,14 @@ the orthogonal idempotents.  This module provides:
   of all of them: a rotation of each Gray block on bit-sliced masks
   (the user API and the test oracle stay on the ring side),
 * RCode: component-triple codes with Gray image, Lee distance, duals,
-  cardinality, self-orthogonality, and combined generators,
+  cardinality, self-orthogonality, and combined generators; membership
+  and self-orthogonality are divisibility tests on the components'
+  generators, with no matrix built,
 * transport between cyclic and constacyclic codes for odd length,
 * GrayModule: a generic submodule engine over Gray coordinates, held as
   bit-sliced masks, used for closures under Gray-space shifts and
-  brute-force checks.
+  brute-force checks; only ``basis``, ``dual`` and ``lee_distance``
+  unpack its basis into an int8 array.
 """
 
 from __future__ import annotations
@@ -89,14 +92,8 @@ def gray_vector(vec) -> np.ndarray:
     """Blockwise Gray image: all first coordinates, then all second,
     then all third (length 3n)."""
     vec = as_rvector(vec)
-    n = len(vec)
-    out = np.empty(3 * n, dtype=np.int8)
-    for i, e in enumerate(vec):
-        g1, g2, g3 = e.gray
-        out[i] = g1
-        out[n + i] = g2
-        out[2 * n + i] = g3
-    return out
+    ones, twos = _gray_masks(vec)
+    return gf3linalg._unpack_masks([ones], [twos], 3 * len(vec))[0]
 
 
 def ungray_vector(arr) -> RVector:
@@ -104,11 +101,7 @@ def ungray_vector(arr) -> RVector:
     arr = np.asarray(arr, dtype=np.int64) % 3
     if arr.ndim != 1 or arr.shape[0] % 3:
         raise LengthMismatch("Gray vector length must be a multiple of 3")
-    n = arr.shape[0] // 3
-    return tuple(
-        from_gray((int(arr[i]), int(arr[n + i]), int(arr[2 * n + i])))
-        for i in range(n)
-    )
+    return _ungray_masks(*gf3linalg._row_masks(arr.tolist()), arr.shape[0] // 3)
 
 
 def _projection_masks(vec) -> tuple[list[int], list[int]]:
@@ -395,12 +388,12 @@ class RCode:
         return gf3linalg._unpack_masks(ones, twos, 3 * self.n)
 
     def membership(self, vec) -> bool:
+        """Whether each Gray block is a multiple of its component's g."""
         vec = as_rvector(vec)
         if len(vec) != self.n:
             raise LengthMismatch(f"expected a length-{self.n} vector")
-        g = gray_vector(vec)
         return all(
-            c.membership(g[b * self.n : (b + 1) * self.n])
+            c.g.divides(Z3Poly([e.gray[b] for e in vec]))
             for b, c in enumerate(self.components)
         )
 
@@ -439,12 +432,9 @@ class RCode:
 
     def is_self_orthogonal(self) -> bool:
         """All pairs of codewords have zero inner product, equivalently
-        each ternary component is self-orthogonal."""
-        for c in self.components:
-            g = c.generator_matrix()
-            if g.shape[0] and np.any(gf3linalg.mat_mul(g, g.T)):
-                return False
-        return True
+        each ternary component lies in its dual, a divisibility of
+        generators."""
+        return all(c.dual().contains(c) for c in self.components)
 
     def combined_generator(self) -> tuple[RingElement, ...]:
         """Coefficients (ascending) of e1*f1 + e2*f2 + e3*f3; a single
@@ -524,12 +514,14 @@ class GrayModule:
     as the GF(3) row space of the Gray images of its elements.
 
     The module holds the (ones, twos) masks of its reduced row echelon
-    basis (see ``gf3linalg``) and nothing else: ``rank``, equality and
-    hashing read them, and ``basis``, the int8 RREF rows, is unpacked on
-    its first read and kept.  A subspace of Gray space is a submodule
-    exactly when it is closed under the linear map induced by
-    multiplication by v; spans produced by from_rvectors are closed by
-    construction."""
+    basis (see ``gf3linalg``) and nothing else.  ``rank``,
+    ``block_ranks``, equality, hashing, membership, ``closure``,
+    ``is_v_closed``, ``is_closed_under`` and ``basis_rvectors`` read the
+    masks; ``basis``, the int8 RREF rows, is unpacked on its first read
+    and kept, and only ``dual`` and ``lee_distance`` read it.  A subspace
+    of Gray space is a submodule exactly when it is closed under the
+    linear map induced by multiplication by v; spans produced by
+    from_rvectors are closed by construction."""
 
     __slots__ = ("n", "_ones", "_twos", "_basis")
 
@@ -623,10 +615,13 @@ class GrayModule:
 
     @property
     def block_ranks(self) -> tuple[int, int, int]:
-        """Ranks of the three Gray-coordinate blocks of the basis."""
+        """Ranks of the three Gray-coordinate blocks of the basis: the
+        pivots that eliminating the masks over each block's columns finds
+        (``gf3linalg._eliminate``)."""
+        n = self.n
         return tuple(
-            gf3linalg.rank(self.basis[:, b * self.n : (b + 1) * self.n])
-            for b in range(3)
+            len(gf3linalg._eliminate([*self._ones], [*self._twos], range(s, s + n)))
+            for s in (0, n, 2 * n)
         )
 
     def _spans(self, ones, twos) -> bool:
@@ -655,10 +650,10 @@ class GrayModule:
 
     def is_v_closed(self) -> bool:
         """Closure under entrywise multiplication by v (the submodule
-        criterion for a Gray-coordinate subspace)."""
-        from .ring import V
-
-        return self.is_closed_under(lambda vec: tuple(V * e for e in vec))
+        criterion for a Gray-coordinate subspace).  v generates the ring,
+        so that is closure under the idempotents, which project onto the
+        Gray blocks: the block ranks must add up to the rank."""
+        return self.rank == sum(self.block_ranks)
 
     def is_closed_under(self, op) -> bool:
         """Whether the module is stable under a map on ring vectors: the

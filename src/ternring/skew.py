@@ -31,7 +31,6 @@ from .rcodes import (
     _projection_masks,
     _require_unit,
     as_rvector,
-    cyclic_shift,
     gray_shift,
 )
 from .ring import (
@@ -275,7 +274,9 @@ def monic_right_divisors(n: int, lam) -> tuple[SkewPoly, ...]:
     are sieved by one right division over all 9^d tails of digit pairs
     at once, on bit planes with one bit per tail (``_pair_division_sieve``);
     every survivor is confirmed by an actual skew right division, which
-    also gives its cofactor q in x^n - lam = q*g.
+    also gives its cofactor q in x^n - lam = q*g.  Division acts on each
+    projection separately, so every survivor divides: one that does not
+    raises ``SelfCheckFailed``.
 
     The divisors of degree above n/2 are the mirrored cofactors: the
     anti-automorphism of ``_mirror`` fixes x^n - lam and turns q*g into
@@ -309,7 +310,7 @@ def monic_right_divisors(n: int, lam) -> tuple[SkewPoly, ...]:
     for g in low:
         q, r = skew_right_divmod(m, g)
         if r:
-            continue
+            raise SelfCheckFailed(f"sieved candidate {g} does not right-divide {m}")
         found.append(g)
         if 2 * g.degree < n:
             h = _mirror(q)
@@ -397,8 +398,9 @@ def skew_count_formula(n: int) -> int:
 
 def odd_equivalence_check(code: SkewCyclicCode) -> bool:
     """Whether the twisted-shift-closed module is also closed under the
-    plain cyclic shift (for odd length this always holds)."""
-    return code.module.is_closed_under(cyclic_shift)
+    plain cyclic shift (for odd length this always holds): its closure
+    under the Gray form of that shift adds nothing."""
+    return code.module.closure([gray_shift(code.n)]) == code.module
 
 
 # -- vector <-> polynomial tuple maps ---------------------------------------

@@ -15,9 +15,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ternring
-from ternring import ternary
+from ternring import cli, ternary
 from ternring.cli import SELFTEST_EXPECTED_FLAGS, main
 from ternring.quantum import ReferenceRow, verify_reference_table
 
@@ -665,3 +667,47 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "x+2 = (x+2)"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_argv_exits_zero_one_or_two(self, data):
+        # argv drawn from the command and argument tables: each argument
+        # is left out (1 in 16), malformed (1 in 16) or a small valid
+        # value; the outcome is a result (0), a typed domain error (1) or
+        # a usage error (2), never another exception
+        command = data.draw(st.sampled_from(sorted(cli.COMMANDS)))
+        flags = data.draw(st.sampled_from([[], ["--json"], ["--seed", "3"]]))
+        argv = [*flags, *command]
+        for name in cli.COMMANDS[command][1]:
+            pick = data.draw(st.sampled_from(PICKS))
+            if pick == "omit":
+                continue
+            values = st.sampled_from(CLI_VALUES[name][pick == "malformed"])
+            drawn = data.draw(st.lists(values, min_size=1, max_size=3))
+            argv += drawn if name == "polys" else [name, drawn[0]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                assert stop.code == 2, argv
+                return
+        assert code in (0, 1), argv
+
+
+# Small valid values (n <= 12, s <= 6), then malformed text, for every
+# declared argument; valid first, since hypothesis favours early choices.
+PICKS = ["valid"] * 14 + ["omit", "malformed"]
+POLYS = ["0", "1", "2", "x+1", "x+2", "x^2+1", "x^2+2", "2x^2+1", "x^3+2", "[1,0,2]"]
+CLI_VALUES = {
+    "--n": ([*map(str, range(1, 13))], ["0", "-3", "ten", ""]),
+    "--s": ([*map(str, range(1, 7))], ["0", "two"]),
+    "--sign": (["pos", "neg"], ["zero"]),
+    "--lambda": (["1", "2", "v", "1+v^2", "2+2v^2", "v+v^2", "0"], ["q", "", "v^"]),
+    "--f1": (POLYS, ["xx", "x+", "[1,a]", "x^2000000000"]),
+    "--f2": (POLYS, ["xx", "y"]),
+    "--f3": (POLYS, ["x+", "[]x"]),
+    "--f": (["0", "1", "x+1", "x+2", "x+1+v^2", "x^2+2", "x+2+v+v^2"], ["zz", "x^"]),
+    "--limit": (["0", "3"], ["-1", "many"]),
+    "polys": (["0", "x+1", "x^2+2", "x+1+v^2", "vx+1"], ["x+q", "x^-1"]),
+}

@@ -13,10 +13,9 @@ import ternring
 
 SRC = str(Path(ternring.__file__).resolve().parents[1])
 
-# Each command's exit code and stdout, printed as one JSON list; with the
-# argument "block", a meta path finder first refuses every numpy module.
-SCRIPT = r"""
-import contextlib, io, json, sys
+# With the argument "block", a meta path finder refuses every numpy module.
+BLOCK = r"""
+import sys
 
 class Refuse:
     def find_spec(self, name, path=None, target=None):
@@ -25,6 +24,11 @@ class Refuse:
 
 if sys.argv[1:] == ["block"]:
     sys.meta_path.insert(0, Refuse())
+"""
+
+# Each command's exit code and stdout, printed as one JSON list.
+SCRIPT = BLOCK + r"""
+import contextlib, io, json
 
 import ternring
 import ternring.cli
@@ -82,9 +86,41 @@ print(json.dumps(results))
 """
 
 
-def _run(*argv):
+# Answers that GrayModule, RCode and the skew check read off masks and
+# generators, printed as one JSON list.
+MASK_CALLS = BLOCK + r"""
+import json
+
+from ternring.poly import parse_poly
+from ternring.rcodes import GrayModule, RCode
+from ternring.ring import ONE, V, ZERO
+from ternring.skew import odd_equivalence_check, parse_skew_poly, skew_cyclic_code
+
+P = parse_poly
+code = RCode.cyclic(6, [P("x^2+2"), P("x^4+x^2+1"), P("1")])
+word = code.combined_generator()
+module = GrayModule.from_rvectors([(V, ONE), (ONE, ZERO)])
+subspace = GrayModule._from_masks([0b111], [0], 1)
+results = [
+    code.membership(word + (ZERO,) * (6 - len(word))),
+    code.membership((ONE,) + (ZERO,) * 5),
+    RCode.cyclic(3, [P("x^3+2"), P("x^2+x+1"), P("x^3+2")]).is_self_orthogonal(),
+    RCode.cyclic(3, [P("x+2")] * 3).is_self_orthogonal(),
+    module.block_ranks,
+    module.is_v_closed(),
+    subspace.block_ranks,
+    subspace.is_v_closed(),
+    odd_equivalence_check(skew_cyclic_code(parse_skew_poly("x+2"), 5)),
+    odd_equivalence_check(skew_cyclic_code(parse_skew_poly("x+2+v+v^2"), 4)),
+]
+results.append("numpy" in sys.modules)
+print(json.dumps(results))
+"""
+
+
+def _run(*argv, script=SCRIPT):
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, *argv],
+        [sys.executable, "-c", script, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": SRC},
@@ -100,6 +136,16 @@ def test_commands_without_arrays_run_where_numpy_cannot_be_imported():
     assert not loaded
     assert [code for code, _ in results] == [0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 2] + [0] * 15
     assert all(out for code, out in results if code != 2)
+
+
+def test_mask_answers_run_where_numpy_cannot_be_imported():
+    blocked, free = _run("block", script=MASK_CALLS), _run(script=MASK_CALLS)
+    assert blocked == free
+    *results, loaded = free
+    assert not loaded
+    assert results == [
+        True, False, True, False, [2, 2, 2], True, [1, 1, 1], False, True, False
+    ]
 
 
 def test_distance_past_the_crossover_loads_numpy():

@@ -381,6 +381,52 @@ class TestRCode:
         assert c.is_self_orthogonal()
         assert not RCode.cyclic(3, [P("x+2")] * 3).is_self_orthogonal()
 
+    def test_self_orthogonality_matches_the_int8_product(self):
+        # divisibility against the oracle G G^T = 0 on each component's
+        # int8 generator matrix, for every component triple with n <= 6
+        from ternring.ternary import TernaryPolyCode
+
+        def oracle(c):
+            g = c.generator_matrix()
+            return not g.shape[0] or not np.any(gf3linalg.mat_mul(g, g.T))
+
+        for n in range(1, 7):
+            for sign in (PLUS, MINUS):
+                gens = divisors_of_modulus(n, sign)
+                expected = {g: oracle(TernaryPolyCode(n, sign, g)) for g in gens}
+                assert True in expected.values()
+                for triple in itertools.product(gens, repeat=3):
+                    code = RCode.from_sign(n, sign, triple)
+                    want = all(expected[g] for g in triple)
+                    assert code.is_self_orthogonal() == want, (n, sign, triple)
+
+    @given(st.integers(1, 7), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_membership_matches_the_component_oracle(self, n, plus, seed):
+        # each Gray block of gray_vector, tested by its component's own
+        # membership; probes are random vectors and random codewords
+        rng = np.random.default_rng(seed)
+        sign = PLUS if plus else MINUS
+        gens = divisors_of_modulus(n, sign)
+        picks = rng.integers(0, len(gens), size=3)
+        code = RCode.from_sign(n, sign, [gens[i] for i in picks])
+        probes = [ungray_vector(w) for w in rng.integers(0, 3, size=(4, 3 * n))]
+        for _ in range(3):
+            blocks = []
+            for c in code.components:
+                rows = c.generator_matrix()
+                blocks.append(rng.integers(0, 3, size=len(rows)) @ rows % 3)
+            probes.append(ungray_vector(np.concatenate(blocks)))
+        for vec in probes:
+            g = gray_vector(vec)
+            want = all(
+                c.membership(g[b * n : (b + 1) * n])
+                for b, c in enumerate(code.components)
+            )
+            assert code.membership(vec) == want
+        assert all(code.membership(vec) for vec in probes[4:])
+        with pytest.raises(LengthMismatch):
+            code.membership(probes[0] + (ZERO,))
+
     def test_lee_distance_zero_code(self):
         z = RCode.cyclic(3, [P("x^3+2")] * 3)
         with pytest.raises(ZeroCode):
@@ -503,6 +549,30 @@ class TestGrayModule:
         ]
         with pytest.raises(LengthMismatch):
             m.contains(vectors[0] + vectors[0])
+
+    @given(st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_block_ranks_and_v_closure_match_the_ring_side_oracle(
+        self, n, structured, seed
+    ):
+        # the oracles: the ranks of the int8 basis blocks, and closure
+        # under v on ring vectors
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 3, size=(int(rng.integers(0, 3 * n + 1)), 3 * n))
+        if structured:
+            # rows on one block each span a sum of block subspaces, a
+            # module; a mixed row, when one is added, may break that
+            block = rng.integers(0, 3, size=len(rows))
+            for b in range(3):
+                rows[block != b, b * n : (b + 1) * n] = 0
+            mixed = rng.integers(0, 3, size=(int(rng.integers(0, 2)), 3 * n))
+            rows = np.vstack([rows, mixed])
+        m = GrayModule(rows, n)
+        ranks, closed = m.block_ranks, m.is_v_closed()
+        assert m._basis is None
+        assert ranks == tuple(
+            gf3linalg.rank(m.basis[:, b * n : (b + 1) * n]) for b in range(3)
+        )
+        assert closed == m.is_closed_under(lambda vec: tuple(V * e for e in vec))
 
     def test_basis_is_unpacked_once_on_first_read(self, monkeypatch):
         calls = []

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ternring import gf3linalg, skew
+from ternring import gf3linalg, rcodes, ring, skew
 from ternring.errors import (
     BudgetExceeded,
     EvenLength,
@@ -370,6 +370,21 @@ class TestRightDivisors:
         with pytest.raises(SelfCheckFailed):
             monic_right_divisors(3, UNITS[3])
 
+    def test_candidate_the_sieve_rejects_is_refused(self, monkeypatch):
+        # a head and a sieved tail always right-divide, so a tail that
+        # fails the sieve, appended to its survivors, is a self-check
+        # failure and not a silent drop
+        real = skew._pair_division_sieve
+
+        def sieve(m, d):
+            tails = real(m, d)
+            every = itertools.product(itertools.product(range(3), repeat=2), repeat=d)
+            return tails + [next(t for t in every if t not in tails)]
+
+        monkeypatch.setattr(skew, "_pair_division_sieve", sieve)
+        with pytest.raises(SelfCheckFailed, match="sieved candidate"):
+            monic_right_divisors(2, 1)
+
     def test_all_listed_divide(self):
         for lam in (ONE, E("2+2v^2")):
             m = power_minus_constant(4, lam)
@@ -518,6 +533,39 @@ class TestOddEquivalence:
         mod = GrayModule.from_rvectors([(ONE, ZERO, ZERO)], 3)
         fake = SkewCyclicCode(3, 1, ONE, (P("1"),), P("1"), mod)
         assert not odd_equivalence_check(fake)
+
+    def test_matches_the_ring_side_closure_check(self):
+        # the Gray closure against is_closed_under(cyclic_shift) on ring
+        # vectors, for every skew cyclic code with n <= 10
+        from ternring.skew import odd_equivalence_check
+
+        outcomes = set()
+        for n in range(1, 11):
+            for f in monic_right_divisors(n, 1):
+                code = skew_cyclic_code(f, n)
+                closed = code.module.is_closed_under(cyclic_shift)
+                assert odd_equivalence_check(code) == closed, (n, f)
+                outcomes.add(closed)
+        assert outcomes == {True, False}
+
+    def test_reads_no_ring_element(self, monkeypatch):
+        # the rank-294 module of length 99 is checked on masks alone; the
+        # ring-side check made 29,106 from_gray calls on it
+        from ternring.skew import odd_equivalence_check
+
+        code = skew_cyclic_code(P("x+2"), 99)
+        calls = []
+        real = ring.from_gray
+
+        def spy(gray):
+            calls.append(gray)
+            return real(gray)
+
+        for module in (ring, rcodes, skew):
+            monkeypatch.setattr(module, "from_gray", spy)
+        assert odd_equivalence_check(code)
+        assert code.module.rank == 294
+        assert calls == []
 
 
 class TestVectorPolyMaps:

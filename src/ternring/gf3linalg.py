@@ -413,6 +413,18 @@ def _bitsliced_span(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ones, twos
 
 
+def _span_masks(ones: list[int], twos: list[int]) -> list[tuple[int, int]]:
+    """All 3^k combinations of k bit-sliced rows as (ones, twos) pairs of
+    Python-int masks, in the order of ``_bitsliced_span``: the zero word
+    first, the last row's coefficient varying slowest."""
+    words = [(0, 0)]
+    for b1, b2 in zip(ones, twos):
+        words += [_add(a1, a2, b1, b2) for a1, a2 in words] + [
+            _add(a1, a2, b2, b1) for a1, a2 in words
+        ]
+    return words
+
+
 def _weights(words: np.ndarray) -> np.ndarray:
     """Set bits in each row of a (count, limbs) uint64 array."""
     bits = np.bitwise_count(words)

@@ -7,7 +7,8 @@ dimension exponent K = 2(k1+k2+k3) - 3n and reported distance equal to
 the Lee distance of the ring code.  This module checks containment,
 derives parameters, scans a length exhaustively for all admissible
 component triples, and reproduces a frozen reference table of known
-constructions.
+constructions.  The scan orders its rows in one stable pass over their
+runs of equal (K, d), on Python lists, without numpy.
 
 A ternary component with generator g contains its dual exactly when
 g * g* divides the modulus x^n -+ 1, g* being the monic reciprocal of
@@ -20,14 +21,15 @@ e_j + e_sigma(j) <= m_j.
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import functools
 import gc
 import itertools
 import math
 
 from ._record import Record
 from .errors import BudgetExceeded, NotDualContaining, SelfCheckFailed
-from .gf3linalg import np
 from .poly import ModulusSign, Z3Poly, factor, modulus, parse_poly
 from .rcodes import RCode
 from .ternary import TernaryPolyCode
@@ -43,8 +45,9 @@ __all__ = [
     "MAX_SCAN_ROWS",
 ]
 
-# Rows (unordered triples) one scan may build: n = 40 neg makes 2,421,090
-# and peaks at 310 MB; n = 48 pos would make 85,653,600.
+# Rows (unordered triples) one scan may build: n = 40 neg makes 2,421,090,
+# and a process that runs that scan alone peaks at 249 MB (2-vCPU x86_64,
+# Python 3.11); n = 48 pos would make 85,653,600.
 MAX_SCAN_ROWS = 3_000_000
 
 
@@ -95,31 +98,65 @@ def scan_dual_containing(
     depend only on the per-component (k, d), so each generator's code
     is built once, for its distance, and the triples are combined from
     that table: K = 2(k1+k2+k3) - 3n, and d is the least distance over
-    the components (the Lee distance of the ring code).  Raises
-    ``BudgetExceeded`` before any generator is multiplied out when
-    there are more than ``MAX_SCAN_ROWS`` triples.
+    the components (the Lee distance of the ring code); ``_ordered_rows``
+    puts them in order.  Raises ``BudgetExceeded`` before any generator
+    is multiplied out when there are more than ``MAX_SCAN_ROWS`` triples.
     """
     gens = _dual_containing_generators(n, sign)
     # The zero code never contains its dual (the full space), so every
     # listed component has a distance.
     codes = [TernaryPolyCode(n, sign, g) for g in gens]
-    first, second, third, runs = _sorted_triples(
-        n,
-        [code.k for code in codes],
-        [code.min_distance() for code in codes],
-        [str(g) for g in gens],
+    return _ordered_rows(
+        n, gens, [code.k for code in codes], [code.min_distance() for code in codes]
     )
-    # Few distinct (K, d) occur, and QuantumParams is immutable, so each
-    # run of equal parameters shares one instance.
-    params = itertools.chain.from_iterable(
-        itertools.repeat(QuantumParams(3 * n, K, d), count) for K, d, count in runs
-    )
-    pick = gens.__getitem__
-    # The rows hold only Z3Poly and QuantumParams objects, so they form no
-    # cycles, but their allocations would set off collections again and
-    # again.
+
+
+def _ordered_rows(n: int, gens: list, ks: list[int], ds: list[int]) -> list[tuple]:
+    """One row (gens[i], gens[j], gens[l], params) per triple of indices
+    i <= j <= l, ordered by K = 2(k_i + k_j + k_l) - 3n descending, then
+    d = min(d_i, d_j, d_l) descending, then the names (``str``) of the
+    three generators.
+
+    A distribution sort (Knuth, TAOCP 5.2.5): the triples are visited
+    with i, j and l each taken in name order, and each is appended to
+    the run of its (K, d), so every run is in name order as it fills,
+    and the runs are read off by K, then d, descending.  The generators
+    l >= j fall, for a pair of least distance d, into groups of equal
+    (k_l, min(d, d_l)), each in name order and each bound whole for one
+    run; the groups are formed once per (j, d), and a run is held as
+    its three generator columns until it is read."""
+    by_name = sorted(range(len(gens)), key=lambda x: str(gens[x]))
+    later = [[l for l in by_name if l >= j] for j in range(len(gens))]
+
+    @functools.cache
+    def tails(j: int, d: int) -> list[tuple[int, int, list, int]]:
+        groups = {}
+        for l in later[j]:
+            groups.setdefault((ks[l], min(d, ds[l])), []).append(gens[l])
+        return [(k, d_l, group, len(group)) for (k, d_l), group in groups.items()]
+
+    runs = collections.defaultdict(lambda: ([], [], []))
+    for i in by_name:
+        g_i, k_i, d_i = [gens[i]], ks[i], ds[i]
+        for j in later[i]:
+            g_j, k_ij = [gens[j]], k_i + ks[j]
+            for k_l, d, group, size in tails(j, min(d_i, ds[j])):
+                first, second, third = runs[k_ij + k_l, d]
+                # a repeated one-item list extends faster than itertools.repeat
+                first += g_i * size
+                second += g_j * size
+                third += group
+    rows = []
+    # The rows hold only generators and QuantumParams objects, so they
+    # form no cycles, but their allocations would set off collections
+    # again and again.
     with collector_paused():
-        return list(zip(map(pick, first), map(pick, second), map(pick, third), params))
+        for k, d in sorted(runs, reverse=True):
+            # Few distinct (K, d) occur, and QuantumParams is immutable,
+            # so each run shares one instance.
+            params = QuantumParams(3 * n, 2 * k - 3 * n, d)
+            rows += zip(*runs.pop((k, d)), itertools.repeat(params))
+    return rows
 
 
 @contextlib.contextmanager
@@ -176,78 +213,14 @@ def _dual_containing_generators(n: int, sign: ModulusSign) -> list[Z3Poly]:
 
 
 def _check_scan_size(n: int, m: int) -> None:
-    """Refuse a scan of length n over m generators whose triples are
-    above ``MAX_SCAN_ROWS``, or whose sort keys would not fit in int64."""
+    """Refuse a scan of length n over m generators whose triples, one row
+    each, are above ``MAX_SCAN_ROWS``."""
     rows = m * (m + 1) * (m + 2) // 6
     if rows > MAX_SCAN_ROWS:
         raise BudgetExceeded(
             f"length {n} keeps {m} dual-containing divisors, whose {rows} "
             f"triples are above the budget of {MAX_SCAN_ROWS} rows"
         )
-    # One more than the largest key _sorted_triples can form: 3n - K is
-    # at most 6n, n - d at most n, and each name rank below m.
-    if (6 * n * (n + 1) + n + 1) * m**3 > 2**63:
-        raise BudgetExceeded(
-            f"the sort keys of a length-{n} scan over {m} generators "
-            "do not fit in 64 bits"
-        )
-
-
-def _sorted_triples(
-    n: int, ks: list[int], ds: list[int], names: list[str]
-) -> tuple[list[int], list[int], list[int], list[tuple[int, int, int]]]:
-    """Every unordered triple i <= j <= l of table indices, ordered by
-    K = 2(k_i + k_j + k_l) - 3n descending, then min(d_i, d_j, d_l)
-    descending, then (names[i], names[j], names[l]).  Returns the three
-    index columns as lists and the (K, d, count) runs of the order.
-
-    One int64 key per triple carries both the order and the triple:
-    ((3n - K)(n + 1) + n - d) m^3 + r_i m^2 + r_j m + r_l, where r ranks
-    the names (distinct, so their ranks order the triples as the names
-    do).  ``_check_scan_size`` has made sure every key fits."""
-    m = len(ks)
-    k = np.array(ks, dtype=np.int64)
-    d = np.array(ds, dtype=np.int64)
-    by_name = np.array(sorted(range(m), key=names.__getitem__), dtype=np.int64)
-    rank = np.empty(m, dtype=np.int64)
-    rank[by_name] = np.arange(m)
-    # Each pair i <= j heads the run of triples with l = j..m-1; the
-    # pair's share of the key is formed once per pair, and the rows-long
-    # arrays are updated in place, which keeps the peak memory down.
-    i, j = np.triu_indices(m)
-    reps = m - j
-    l = np.repeat(j - (np.cumsum(reps) - reps), reps)
-    l += np.arange(len(l))
-    key = np.repeat(np.minimum(d[i], d[j]), reps)
-    np.minimum(key, d[l], out=key)  # d
-    np.subtract(n, key, out=key)  # n - d
-    part = np.repeat(k[i] + k[j], reps)
-    part += k[l]  # (K + 3n) / 2
-    part *= -2 * (n + 1)
-    key += part
-    key += 6 * n * (n + 1)
-    key *= m**3
-    part = np.repeat((rank[i] * m + rank[j]) * m, reps)
-    part += rank[l]
-    key += part
-    del part, l
-    key.sort()
-    high = key // m**3
-    key %= m**3
-    starts = np.flatnonzero(np.diff(high, prepend=-1))
-    counts = np.diff(starts, append=len(high))
-    below_K, below_d = np.divmod(high[starts], n + 1)  # 3n - K, n - d
-    runs = list(zip((3 * n - below_K).tolist(), (n - below_d).tolist(), counts.tolist()))
-    del high
-    # The columns are decoded into the narrowest dtype and the keys freed
-    # before the lists are made.
-    by_name = by_name.astype(np.min_scalar_type(m))
-    columns = []
-    for scale in (m * m, m, 1):
-        columns.append(by_name[key // scale])
-        key %= scale
-    del key
-    return (*(column.tolist() for column in columns), runs)
 
 
 class ReferenceRow(Record):

@@ -128,7 +128,7 @@ def _ungray_masks(ones: int, twos: int, n: int) -> RVector:
     """The ring vector of length n whose Gray image has the given masks,
     the inverse of ``_gray_masks``."""
     entries = gf3linalg._row_entries(ones, twos, 3 * n)
-    return tuple(from_gray(entries[i :: n]) for i in range(n))
+    return tuple(map(from_gray, zip(entries[:n], entries[n : 2 * n], entries[2 * n :])))
 
 
 def ring_inner_product(a, b) -> RingElement:
@@ -398,13 +398,20 @@ class RCode:
         )
 
     def codewords(self):
-        """Iterator over all codewords as ring vectors (small codes)."""
-        blocks = [c.codewords() for c in self.components]
-        for w1, w2, w3 in itertools.product(*blocks):
-            yield tuple(
-                from_gray((int(w1[i]), int(w2[i]), int(w3[i])))
-                for i in range(self.n)
+        """Iterator over all codewords as ring vectors (small codes), in
+        the order of the product of the components' ``codewords()``: each
+        component's words are spanned once as masks in its Gray block."""
+        n = self.n
+        spans = []
+        for b, c in enumerate(self.components):
+            shifts = range(b * n + c.k - 1, b * n - 1, -1)
+            spans.append(
+                gf3linalg._span_masks(
+                    [c.g.ones << s for s in shifts], [c.g.twos << s for s in shifts]
+                )
             )
+        for (a1, a2), (b1, b2), (c1, c2) in itertools.product(*spans):
+            yield _ungray_masks(a1 | b1 | c1, a2 | b2 | c2, n)
 
     # -- operations --------------------------------------------------------
 

@@ -221,8 +221,8 @@ def scalar(t: int) -> RingElement:
 
 def from_gray(coords) -> RingElement:
     """Inverse of the Gray coordinate map."""
-    g1, g2, g3 = (t % 3 for t in coords)
-    return ELEMENTS[_FROM_GRAY[(g1, g2, g3)]]
+    g1, g2, g3 = coords
+    return ELEMENTS[_FROM_GRAY[g1 % 3, g2 % 3, g3 % 3]]
 
 
 ZERO = ELEMENTS[0]

@@ -145,10 +145,13 @@ class TernaryPolyCode:
 
     def membership(self, word) -> bool:
         """Whether the word's polynomial is a multiple of g."""
-        vec = np.asarray(word, dtype=np.int64) % 3
-        if vec.ndim != 1 or vec.shape[0] != self.n:
+        try:
+            entries = [int(c) % 3 for c in word]
+        except TypeError:  # a scalar, or a nested entry
+            entries = None
+        if entries is None or len(entries) != self.n:
             raise LengthMismatch(f"expected a length-{self.n} word")
-        return not (Z3Poly(vec.tolist()) % self.g)
+        return not (Z3Poly(entries) % self.g)
 
     def weight_distribution(self) -> list[int]:
         """Exact [A_0, ..., A_n]: the systematic rows of the smaller of C

@@ -71,6 +71,9 @@ COMMANDS = [
     ["skew", "divisors", "--s", "1", "--lambda", "1+v^2"],
     ["skew", "divisors", "--s", "2", "--lambda", "1+v^2"],
     ["skew", "divisors", "--s", "4", "--lambda", "1+v^2"],
+    # the scan orders its rows in one pass over (K, d) runs
+    ["quantum", "scan", "--n", "12", "--sign", "neg"],
+    ["quantum", "scan", "--n", "9", "--sign", "pos", "--limit", "5"],
 ]
 results = []
 for argv in COMMANDS:
@@ -86,8 +89,8 @@ print(json.dumps(results))
 """
 
 
-# Answers that GrayModule, RCode and the skew check read off masks and
-# generators, printed as one JSON list.
+# Answers that GrayModule, RCode, TernaryPolyCode and the skew check read
+# off masks and generators, printed as one JSON list.
 MASK_CALLS = BLOCK + r"""
 import json
 
@@ -95,6 +98,7 @@ from ternring.poly import parse_poly
 from ternring.rcodes import GrayModule, RCode
 from ternring.ring import ONE, V, ZERO
 from ternring.skew import odd_equivalence_check, parse_skew_poly, skew_cyclic_code
+from ternring.ternary import TernaryPolyCode
 
 P = parse_poly
 code = RCode.cyclic(6, [P("x^2+2"), P("x^4+x^2+1"), P("1")])
@@ -112,6 +116,9 @@ results = [
     subspace.is_v_closed(),
     odd_equivalence_check(skew_cyclic_code(parse_skew_poly("x+2"), 5)),
     odd_equivalence_check(skew_cyclic_code(parse_skew_poly("x+2+v+v^2"), 4)),
+    TernaryPolyCode(6, code.sign, P("x^2+2")).membership([2, 0, 1, 0, 0, 0]),
+    TernaryPolyCode(6, code.sign, P("x^2+2")).membership([1, 0, 0, 0, 0, 0]),
+    sum(1 for _ in RCode.cyclic(3, [P("x+2"), P("1"), P("x^3+2")]).codewords()),
 ]
 results.append("numpy" in sys.modules)
 print(json.dumps(results))
@@ -134,7 +141,7 @@ def test_commands_without_arrays_run_where_numpy_cannot_be_imported():
     assert blocked == free
     *results, loaded = free
     assert not loaded
-    assert [code for code, _ in results] == [0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 2] + [0] * 15
+    assert [code for code, _ in results] == [0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 2] + [0] * 17
     assert all(out for code, out in results if code != 2)
 
 
@@ -144,7 +151,8 @@ def test_mask_answers_run_where_numpy_cannot_be_imported():
     *results, loaded = free
     assert not loaded
     assert results == [
-        True, False, True, False, [2, 2, 2], True, [1, 1, 1], False, True, False
+        True, False, True, False, [2, 2, 2], True, [1, 1, 1], False, True, False,
+        True, False, 3**5,
     ]
 
 

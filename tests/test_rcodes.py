@@ -48,6 +48,7 @@ from ternring.ring import (
     V,
     ZERO,
     format_ring_poly,
+    from_gray,
     parse_element,
     scalar,
 )
@@ -348,6 +349,20 @@ class TestRCode:
             # closed under the negacyclic shift
             assert negacyclic_shift(w) in set(words)
         assert not c.membership((ONE, ZERO, ZERO))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("sign", [PLUS, MINUS])
+    def test_codewords_match_the_componentwise_oracle(self, n, sign):
+        # the mask spans against the components' int8 codewords read entry
+        # by entry through from_gray: the same words in the same order
+        for triple in itertools.product(divisors_of_modulus(n, sign), repeat=3):
+            code = RCode.from_sign(n, sign, triple)
+            blocks = [c.codewords() for c in code.components]
+            want = [
+                tuple(from_gray((int(a[i]), int(b[i]), int(c[i]))) for i in range(n))
+                for a, b, c in itertools.product(*blocks)
+            ]
+            assert list(code.codewords()) == want, triple
 
     def test_dual_dimensions_and_orthogonality(self):
         f = [E("1"), E("2v"), E("1+2v^2"), E("v"), E("v^2")]

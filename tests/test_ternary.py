@@ -174,6 +174,21 @@ class TestContainmentAndMembership:
         with pytest.raises(LengthMismatch):
             c.membership([1, 0])
 
+    def test_membership_reads_entries_mod_3(self):
+        c = code(6, PLUS, "x^2+2")
+        assert c.membership([-1, 3, 4, 0, 0, 0])
+        assert c.membership(np.array([2, 0, 1, 0, 0, 0], dtype=np.int8))
+        assert not c.membership((1, 0, 0, 0, 0, 3))
+
+    @pytest.mark.parametrize(
+        "word",
+        [[1, 0, 0, 0, 0], [0] * 7, [[2, 0, 1, 0, 0, 0]], [[2], 0, 1, 0, 0, 0], 5],
+        ids=["short", "long", "nested", "nested-entry", "scalar"],
+    )
+    def test_membership_refuses_a_malformed_word(self, word):
+        with pytest.raises(LengthMismatch, match="length-6 word"):
+            code(6, PLUS, "x^2+2").membership(word)
+
     def test_all_codewords_are_members(self):
         c = code(6, PLUS, "x^4+x^2+1")
         words = c.codewords()

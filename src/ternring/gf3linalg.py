@@ -26,10 +26,11 @@ it takes masks, and packs them into words for numpy only for a level of
 more than ``_NUMPY_LEVEL_WORDS`` limbs.  Below that size a walk on
 Python ints is faster than numpy's per-call cost, above it slower (see
 the constant), so a small code's distance imports no numpy.
-Berlekamp's kernel (``poly``) stays on masks: ``_left_kernel`` runs
-``_eliminate`` on the rows of [A | I] and builds no array.  A
-``poly.Z3Poly`` is held as one row, the masks of its coefficients
-(``_row_masks`` and ``_row_entries`` convert a row), and sums by ``_add``.
+Berlekamp's kernel for a squarefree part that is not a binomial
+(``poly``) stays on masks: ``_left_kernel`` runs ``_eliminate`` on the
+rows of [A | I] and builds no array.  A ``poly.Z3Poly`` is held as one
+row, the masks of its coefficients (``_row_masks`` and ``_row_entries``
+convert a row), and sums by ``_add``.
 
 numpy is first imported here, on first use: every module of the package
 uses the handle ``np`` below in its place, which loads numpy when an
@@ -281,18 +282,6 @@ def _residues(ones, twos, new1, new2) -> tuple[list[int], list[int]]:
             rest1.append(a1)
             rest2.append(a2)
     return rest1, rest2
-
-
-def _combination(h1: int, h2: int, ones: list[int], twos: list[int]) -> tuple[int, int]:
-    """The sum of h_i times row i over bit-sliced rows, h being the
-    bit-sliced word (h1, h2) over the row indices."""
-    s1 = s2 = 0
-    for i, (a1, a2) in enumerate(zip(ones, twos)):
-        if h1 >> i & 1:
-            s1, s2 = _add(s1, s2, a1, a2)
-        elif h2 >> i & 1:
-            s1, s2 = _add(s1, s2, a2, a1)
-    return s1, s2
 
 
 _ONES_DIGITS = bytes.maketrans(b"\0\1\2", b"010")

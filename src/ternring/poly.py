@@ -3,10 +3,11 @@
 A polynomial is held as the bit-sliced (ones, twos) masks of its
 coefficients (Boothby-Bradshaw 2009), the format ``gf3linalg`` owns, and
 one division step on masks, ``_divided``, serves ``Z3Poly.divmod``,
-Berlekamp's matrix and ``ternary``'s systematic rows.  ``coeffs``, the
-ascending tuple without trailing zeros, is derived when read.  Text
-forms accepted everywhere: descending sums like ``x^4+2x^3+x+1`` and
-bracketed ascending coefficient lists like ``[1,1,0,2,1]``.
+the gcds, Berlekamp's matrix and ``ternary``'s systematic rows.
+``coeffs``, the ascending tuple without trailing zeros, is derived when
+read.  Text forms accepted everywhere: descending sums like
+``x^4+2x^3+x+1`` and bracketed ascending coefficient lists like
+``[1,1,0,2,1]``.
 
 Factorization is deterministic: squarefree/cube splitting (this is
 characteristic 3), then Berlekamp's algorithm (Knuth, TAOCP vol. 2,
@@ -15,14 +16,19 @@ one GF(3) kernel, then gcds.  Output is always the canonically sorted
 list of monic irreducible factors with multiplicities, so two runs - or
 two different correct algorithms - print the same thing.
 
-Berlekamp's matrix is held as mask rows too, and its kernel found by
-``gf3linalg``'s elimination on them, so this module never imports numpy (see
-``gf3linalg``, where it is first imported).
+The kernel of a binomial x^m - c, the squarefree part of every modulus
+x^n -+ 1, is read off the cycles of i -> 3i mod m (``_cycle_kernel``),
+since its Berlekamp matrix is a signed permutation.  Any other
+squarefree part has its matrix built as mask rows and its kernel found
+by ``gf3linalg``'s elimination on them.  The split, the gcds and the
+squarefree steps run on the masks too, so this module never imports
+numpy (see ``gf3linalg``, where it is first imported).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from enum import Enum
 
@@ -50,11 +56,14 @@ __all__ = [
     "divisors_of_modulus",
 ]
 
-# Largest squarefree part factor() splits.  Its Berlekamp matrix is
-# degree bit-sliced rows, 2 x degree bits wide with the identity half
-# (about 2 MB at degree 2000).  `factor --n 2000 --sign pos` takes
-# 1.9-2.0 s and `--n 1996` 1.4-1.6 s, most of it in the elimination of
-# Q - I, and either process peaks at 19 MB on a 2-vCPU x86_64 machine.
+# Largest squarefree part factor() splits, however its kernel is found.
+# The slower way is the elimination, for a part that is not a binomial:
+# its Berlekamp matrix is degree bit-sliced rows, 2 x degree bits wide
+# with the identity half (about 2 MB at degree 2000), and a random dense
+# squarefree polynomial of degree 2000 takes 2.1-2.7 s and peaks at 20 MB
+# in a fresh process.  A binomial's kernel is read off its cycles, and
+# then the split is the cost: x^2000 - 1, with 55 factors, takes
+# 0.6-1.2 s and peaks at 16 MB, x^2000 + 1 0.08-0.13 s (2-vCPU x86_64).
 MAX_BERLEKAMP_DEGREE = 2000
 
 
@@ -177,12 +186,13 @@ class Z3Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Z3Poly":
-        out, base = Z3Poly([1]), self
+        out, base = Z3Poly._from_masks(1, 0), self
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:  # no square past the top bit of k
+                base = base * base
         return out
 
     def divmod(self, other: "Z3Poly") -> tuple["Z3Poly", "Z3Poly"]:
@@ -217,13 +227,24 @@ class Z3Poly:
         return self if self.is_monic else -self
 
     def reciprocal(self) -> "Z3Poly":
-        """x^deg * f(1/x): the coefficient tuple reversed."""
+        """x^deg * f(1/x): each mask's binary numeral, padded to deg + 1
+        digits, read backwards."""
         if not self:
             raise ZeroPolynomial("zero polynomial has no reciprocal")
-        return Z3Poly(reversed(self.coeffs))
+        width = self.degree + 1
+        ones, twos = (f"{mask:0{width}b}"[::-1] for mask in (self.ones, self.twos))
+        return Z3Poly._from_masks(int(ones, 2), int(twos, 2))
 
     def derivative(self) -> "Z3Poly":
-        return Z3Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        """i c_i x^(i-1): the terms at i = 1 mod 3 shifted down as they
+        are, those at i = 2 mod 3 doubled (planes swapped), and those at
+        i = 0 mod 3 dropped."""
+        every_third = ((1 << 3 * (self.degree // 3 + 1)) - 1) // 7  # bits 0, 3, 6, ...
+        at1, at2 = every_third << 1, every_third << 2
+        return Z3Poly._from_masks(
+            (self.ones & at1 | self.twos & at2) >> 1,
+            (self.twos & at1 | self.ones & at2) >> 1,
+        )
 
     def evaluate(self, t: int) -> int:
         acc = 0
@@ -338,10 +359,19 @@ def gcd(f: Z3Poly, g: Z3Poly) -> Z3Poly:
     """Monic greatest common divisor."""
     if not f and not g:
         raise BothZero("gcd(0, 0) is undefined")
-    a, b = f, g
-    while b:
-        a, b = b, a % b
-    return a.monic()
+    return Z3Poly._from_masks(*_monic_gcd(f.ones, f.twos, g.ones, g.twos))
+
+
+def _monic_gcd(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
+    """The monic gcd of the bit-sliced polynomials (a1, a2) and (b1, b2),
+    not both zero, by Euclid's remainders: each divisor is made monic by
+    doubling it (its planes swapped), which leaves the remainder as it is."""
+    while b1 | b2:
+        if b1.bit_length() < b2.bit_length():
+            b1, b2 = b2, b1
+        *_, r1, r2 = _divided(a1, a2, b1, b2)
+        a1, a2, b1, b2 = b1, b2, r1, r2
+    return (a1, a2) if a1.bit_length() > a2.bit_length() else (a2, a1)
 
 
 class Factorization(Record):
@@ -410,48 +440,114 @@ def _frobenius_rows(w: Z3Poly) -> tuple[list[int], list[int]]:
     return ones, twos
 
 
+def _cycle_kernel(m: int, c: int) -> tuple[list[int], list[int]]:
+    """The left kernel of Q - I for w = x^m - c (c = 1 or 2, 3 not
+    dividing m), read off the cycles of i -> 3i mod m.  Row i of Q is
+    x^(3i) mod w = c^(3i // m) x^(3i mod m), so Q is a signed
+    permutation matrix and hQ = h says h at 3i mod m is h_i times that
+    sign.  A cycle gives one kernel row, its indicator with the signs
+    carried along, exactly when it comes back to its start with sign 1
+    (MacWilliams-Sloane ch. 7; Huffman-Pless 4.1): no elimination."""
+    seen = bytearray(m)
+    ones, twos = [], []
+    for start in range(m):
+        if seen[start]:
+            continue
+        h1 = h2 = 0
+        i, one = start, True
+        while not seen[i]:
+            seen[i] = 1
+            if one:
+                h1 |= 1 << i
+            else:
+                h2 |= 1 << i
+            wraps, i = divmod(3 * i, m)
+            if wraps == 1 and c == 2:
+                one = not one
+        if one:
+            ones.append(h1)
+            twos.append(h2)
+    return ones, twos
+
+
+def _binomial_factor_count(m: int, c: int) -> int:
+    """The number of irreducible factors of x^m - c (c = 1 or 2, 3 not
+    dividing m), counted apart from any kernel: Phi_d splits into
+    phi(d) / ord_d(3) factors, x^m - 1 is the product of Phi_d over the
+    d dividing m, and x^m + 1 that over the d dividing 2m but not m."""
+    top = m if c == 1 else 2 * m
+    count = 0
+    for d in range(1, top + 1):
+        if top % d or (c == 2 and not m % d):
+            continue
+        order, power = 1, 3 % d
+        while power != 1 % d:
+            order, power = order + 1, 3 * power % d
+        count += sum(math.gcd(k, d) == 1 for k in range(d)) // order
+    return count
+
+
 def _berlekamp_split(w: Z3Poly) -> list[Z3Poly]:
     """The monic irreducible factors of a squarefree monic w (Berlekamp):
     the h with h^3 = h mod w are the left kernel of Q - I, where row i of
     Q holds x^(3i) mod w.  Its dimension is the number of factors, and
-    each factor g is the product of gcd(g, h - c) over c in GF(3)."""
+    each factor g is the product of gcd(g, h - c) over c in GF(3).  For a
+    binomial x^m - c the kernel is read off the cycles of i -> 3i mod m
+    (``_cycle_kernel``); any other w has Q built and eliminated."""
     if w.degree > MAX_BERLEKAMP_DEGREE:
         raise BudgetExceeded(
             f"a squarefree part of degree {w.degree} is above the budget of "
             f"{MAX_BERLEKAMP_DEGREE} for its Berlekamp matrix"
         )
     n = w.degree
-    ones, twos = _frobenius_rows(w)
-    for i in range(n):  # Q - I: x^i taken off row i
-        ones[i], twos[i] = gf3linalg._add(ones[i], twos[i], 0, 1 << i)
-    kernel_ones, kernel_twos, rank = gf3linalg._left_kernel(ones, twos, n)
+    if w.ones | w.twos == 1 << n | 1:
+        c = 3 - w.constant  # w = x^n - c
+        kernel_ones, kernel_twos = _cycle_kernel(n, c)
+        count, counted = _binomial_factor_count(n, c), "the cyclotomic count"
+    else:
+        ones, twos = _frobenius_rows(w)
+        for i in range(n):  # Q - I: x^i taken off row i
+            ones[i], twos[i] = gf3linalg._add(ones[i], twos[i], 0, 1 << i)
+        kernel_ones, kernel_twos, rank = gf3linalg._left_kernel(ones, twos, n)
+        count, counted = n - rank, "deg - rank(Q - I)"
     kernel = list(zip(kernel_ones, kernel_twos))
-    if len(kernel) != n - rank:
+    if len(kernel) != count:
         raise SelfCheckFailed(
-            f"Berlekamp kernel of {w} has {len(kernel)} rows, not "
-            f"deg - rank(Q - I) = {n - rank}"
+            f"Berlekamp kernel of {w} has {len(kernel)} rows, not {counted} = {count}"
         )
-    # the rank comes from the elimination that found the kernel, so each
-    # row is also checked against Q - I itself
+    # each row is checked apart from how it was found: h(x^3) = h mod w,
+    # h(x^3) spread from h's masks (a binary numeral read in octal moves
+    # bit i to bit 3i)
     for h1, h2 in kernel:
-        if gf3linalg._combination(h1, h2, ones, twos) != (0, 0):
+        *_, r1, r2 = _divided(int(f"{h1:b}", 8), int(f"{h2:b}", 8), w.ones, w.twos)
+        if (r1, r2) != (h1, h2):
             raise SelfCheckFailed(f"a Berlekamp kernel row of {w} is not in the kernel")
-    factors = [w]
+    factors = [(w.ones, w.twos)]
     for h1, h2 in kernel:
         if len(factors) == len(kernel):
             break
-        h = Z3Poly._from_masks(h1, h2)
         split = []
-        for g in factors:
-            r = h % g  # a constant when g is irreducible
-            parts = (gcd(g, r - c) for c in range(3)) if r.degree > 0 else [g]
-            split += [s for s in parts if s.degree > 0]
+        for g1, g2 in factors:
+            *_, r1, r2 = _divided(h1, h2, g1, g2)  # a constant when g is irreducible
+            if not (r1 | r2) >> 1:
+                split.append((g1, g2))
+                continue
+            # the three gcd(g, h - c) partition g's factors, so once their
+            # degrees reach deg g the rest are 1
+            left = g1.bit_length() - 1
+            for c1, c2 in ((0, 0), (0, 1), (1, 0)):  # minus 0, 1, 2
+                p1, p2 = _monic_gcd(g1, g2, *gf3linalg._add(r1, r2, c1, c2))
+                if p1 > 1:
+                    split.append((p1, p2))
+                    left -= p1.bit_length() - 1
+                    if not left:
+                        break
         factors = split
     if len(factors) != len(kernel):
         raise SelfCheckFailed(
             f"Berlekamp split of {w} gives {len(factors)} factors, not {len(kernel)}"
         )
-    return factors
+    return [Z3Poly._from_masks(p1, p2) for p1, p2 in factors]
 
 
 def _irreducible_factors(f: Z3Poly) -> dict[Z3Poly, int]:
@@ -461,21 +557,28 @@ def _irreducible_factors(f: Z3Poly) -> dict[Z3Poly, int]:
         return {}
     deriv = f.derivative()
     if not deriv:
-        # f = g^3, g made of every third coefficient (Frobenius fixes GF(3))
-        return {p: 3 * e for p, e in _irreducible_factors(Z3Poly(f.coeffs[::3])).items()}
+        # f = g^3, g made of every third coefficient (Frobenius fixes GF(3)):
+        # each mask's octal digits are then 0 or 1, and read in binary they
+        # move bit 3i to bit i
+        root = Z3Poly._from_masks(int(f"{f.ones:o}", 2), int(f"{f.twos:o}", 2))
+        return {p: 3 * e for p, e in _irreducible_factors(root).items()}
+    g1, g2 = _monic_gcd(f.ones, f.twos, deriv.ones, deriv.twos)
+    if g1 == 1:  # gcd(f, f') = 1: f is squarefree
+        return dict.fromkeys(_berlekamp_split(f), 1)
     # f / gcd(f, f') is the product of the factors whose multiplicity 3
     # does not divide; each is divided out of f completely, which leaves
     # a cube of the other factors
+    squarefree = Z3Poly._from_masks(*_divided(f.ones, f.twos, g1, g2)[:2])
     found = {}
-    rest = f
-    for p in _berlekamp_split(f // gcd(f, deriv)):
+    rest1, rest2 = f.ones, f.twos
+    for p in _berlekamp_split(squarefree):
         e = 0
-        q, r = rest.divmod(p)
-        while not r:
-            rest, e = q, e + 1
-            q, r = rest.divmod(p)
+        q1, q2, r1, r2 = _divided(rest1, rest2, p.ones, p.twos)
+        while not r1 | r2:
+            rest1, rest2, e = q1, q2, e + 1
+            q1, q2, r1, r2 = _divided(rest1, rest2, p.ones, p.twos)
         found[p] = e
-    found.update(_irreducible_factors(rest))
+    found.update(_irreducible_factors(Z3Poly._from_masks(rest1, rest2)))
     return found
 
 
@@ -485,7 +588,8 @@ def factor(f: Z3Poly) -> Factorization:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if f.degree == 0:
         raise ConstantPolynomial("cannot factor a constant")
-    parts = sorted(_irreducible_factors(f.monic()).items())
+    found = _irreducible_factors(f.monic())
+    parts = sorted(found.items(), key=lambda pe: pe[0].sort_key())
     result = Factorization(f.leading, tuple(parts))
     if result.expand() != f:
         raise SelfCheckFailed(f"factorization {result} does not multiply back to {f}")

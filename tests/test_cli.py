@@ -591,6 +591,24 @@ class TestUsage:
             "bc9599f02f58fa78b175a51a647c571162c78e4810c29de55dbbf490f927b773"
         )
 
+    def test_factor_text_and_json_are_pinned(self):
+        # factor of x^n -+ 1 for n <= 200, text and --json: the digests
+        # are of the output of the elimination of Q - I on every modulus
+        text, doc = hashlib.sha256(), hashlib.sha256()
+        for n in range(1, 201):
+            for sign in ("pos", "neg"):
+                argv = ("factor", "--n", str(n), "--sign", sign)
+                for digest, flags in ((text, ()), (doc, ("--json",))):
+                    code, out, _ = run_cli(*flags, *argv)
+                    assert code == 0
+                    digest.update(out.encode())
+        assert text.hexdigest() == (
+            "21995231234f7bb2068d3ea836c88b48a9432f0e39e2e43ddf76aae4d5b7b996"
+        )
+        assert doc.hexdigest() == (
+            "79a468e545f803e55afe61f8ada1c45755d7109d9abde7bdbf51d292092977ba"
+        )
+
     def test_factor_budget_exits_one_without_traceback(self):
         proc = run_module("--json", "factor", "--n", "100003", "--sign", "pos")
         assert proc.returncode == 1

@@ -492,6 +492,69 @@ def sympy_factorization(f):
     return Factorization(int(unit) % 3, tuple(factors))
 
 
+LOST_ROWS, LOST_ROW_IDS = [0, 1, -1], ["first row", "second row", "last row"]
+
+
+def x_times_squarefree_modulus(n, sign):
+    """x (x^m -+ 1) for n = 3^k m, 3 not dividing m: squarefree, and not
+    a binomial, so its kernel comes from the elimination."""
+    while n % 3 == 0:
+        n //= 3
+    return X * modulus(n, sign)
+
+
+def lost_row_caught(monkeypatch, owner, reader, lost, family):
+    """How many of family(n, sign), n <= 60, raise SelfCheckFailed when the
+    kernel reader owner.reader loses one row.  A one-row kernel has no
+    second row and loses its only row instead."""
+    full = getattr(owner, reader)
+
+    def without_a_row(*args):
+        out = full(*args)
+        i = min(lost, len(out[0]) - 1) % len(out[0])
+        del out[0][i], out[1][i]
+        return out
+
+    monkeypatch.setattr(owner, reader, without_a_row)
+    caught = 0
+    for n in range(1, 61):
+        for sign in ModulusSign:
+            with pytest.raises(SelfCheckFailed):
+                factor(family(n, sign))
+            caught += 1
+    return caught
+
+
+def wrong_row_caught(monkeypatch, owner, reader, outside, family):
+    """How many of family(n, sign), n <= 60, raise SelfCheckFailed when the
+    kernel reader owner.reader adds e_j to its first row, j = outside(*its
+    arguments) being an index with e_j outside the kernel (None when there
+    is none); an input left alone must factor."""
+    full = getattr(owner, reader)
+    corrupted = []
+
+    def with_a_wrong_row(*args):
+        out = full(*args)
+        j = outside(*args)
+        if j is not None:
+            out[0][0], out[1][0] = gf3linalg._add(out[0][0], out[1][0], 1 << j, 0)
+            corrupted.append(j)
+        return out
+
+    monkeypatch.setattr(owner, reader, with_a_wrong_row)
+    caught = 0
+    for n in range(1, 61):
+        for sign in ModulusSign:
+            corrupted.clear()
+            try:
+                factor(family(n, sign))
+            except SelfCheckFailed:
+                caught += 1
+            else:
+                assert not corrupted, (n, sign)
+    return caught
+
+
 class TestBerlekamp:
     def test_moduli_match_sympy(self):
         for n in [*range(1, 81), 106, 200]:
@@ -537,58 +600,80 @@ class TestBerlekamp:
         with pytest.raises(SelfCheckFailed):
             factor(P("x^3+2x"))
 
-    @pytest.mark.parametrize(
-        "lost", [0, 1, -1], ids=["first row", "second row", "last row"]
-    )
+    @pytest.mark.parametrize("lost", LOST_ROWS, ids=LOST_ROW_IDS)
     def test_lost_kernel_row_is_caught_for_every_modulus(self, monkeypatch, lost):
-        # The factor count alone missed a lost row for about 73 of these
-        # 120 moduli; deg - rank(Q - I) catches every one.  A one-row
-        # kernel has no second row and loses its only row instead.
-        full = gf3linalg._left_kernel
-
-        def without_a_row(ones, twos, n):
-            kernel_ones, kernel_twos, rank = full(ones, twos, n)
-            i = min(lost, len(kernel_ones) - 1) % len(kernel_ones)
-            del kernel_ones[i], kernel_twos[i]
-            return kernel_ones, kernel_twos, rank
-
-        monkeypatch.setattr(gf3linalg, "_left_kernel", without_a_row)
-        for n in range(1, 61):
-            for sign in ModulusSign:
-                with pytest.raises(SelfCheckFailed):
-                    factor(modulus(n, sign))
+        # the cycle count is checked against the cyclotomic count, so a
+        # lost row is caught for all 120 moduli
+        assert lost_row_caught(monkeypatch, poly, "_cycle_kernel", lost, modulus) == 120
 
     def test_kernel_row_outside_the_kernel_is_caught(self, monkeypatch):
-        # e_j is in the left kernel exactly when row j of Q - I is zero, so
-        # adding e_j for a nonzero row j takes the first kernel row out of
-        # the kernel while the row count still matches the rank
-        full = gf3linalg._left_kernel
-        corrupted = []
+        # e_j is in the kernel exactly when j is a fixed point of
+        # i -> 3i mod m with sign 1: j = 0, or j = m/2 when c = 1
+        def outside(m, c):
+            moved = (j for j in range(m) if 3 * j % m != j or (c == 2 and 3 * j >= m))
+            return next(moved, None)
 
-        def with_a_wrong_row(ones, twos, n):
-            kernel_ones, kernel_twos, rank = full(ones, twos, n)
-            j = next((i for i in range(n) if ones[i] | twos[i]), None)
-            if j is not None:
-                kernel_ones[0], kernel_twos[0] = gf3linalg._add(
-                    kernel_ones[0], kernel_twos[0], 1 << j, 0
-                )
-                corrupted.append(n)
-            return kernel_ones, kernel_twos, rank
+        caught = wrong_row_caught(monkeypatch, poly, "_cycle_kernel", outside, modulus)
+        # the 12 moduli whose squarefree parts split into linear factors
+        # alone (Q = I: x - c, and x^2 - 1), such as x^6 - 1, have no row
+        # to corrupt
+        assert caught == 108
 
-        monkeypatch.setattr(gf3linalg, "_left_kernel", with_a_wrong_row)
-        caught = 0
+    @pytest.mark.parametrize("lost", LOST_ROWS, ids=LOST_ROW_IDS)
+    def test_lost_eliminated_kernel_row_is_caught(self, monkeypatch, lost):
+        # deg - rank(Q - I) catches every lost row
+        caught = lost_row_caught(
+            monkeypatch, gf3linalg, "_left_kernel", lost, x_times_squarefree_modulus
+        )
+        assert caught == 120
+
+    def test_eliminated_row_outside_the_kernel_is_caught(self, monkeypatch):
+        # e_j is in the left kernel exactly when row j of Q - I is zero
+        def outside(ones, twos, n):
+            return next((j for j in range(n) if ones[j] | twos[j]), None)
+
+        caught = wrong_row_caught(
+            monkeypatch, gf3linalg, "_left_kernel", outside, x_times_squarefree_modulus
+        )
+        # Q = I exactly for x (x - c) and x (x^2 - 1): 12 of the 120
+        assert caught == 108
+
+    def test_moduli_read_the_kernel_off_the_cycles(self, monkeypatch):
+        calls = {"_cycle_kernel": 0, "_left_kernel": 0}
+        for owner, name in ((poly, "_cycle_kernel"), (gf3linalg, "_left_kernel")):
+            full = getattr(owner, name)
+
+            def spy(*args, name=name, full=full):
+                calls[name] += 1
+                return full(*args)
+
+            monkeypatch.setattr(owner, name, spy)
         for n in range(1, 61):
             for sign in ModulusSign:
-                corrupted.clear()
-                try:
-                    factor(modulus(n, sign))
-                except SelfCheckFailed:
-                    caught += 1
-                else:
-                    assert not corrupted, (n, sign)
-        # the 12 moduli whose squarefree parts split into linear factors
-        # alone (Q = I), such as x^6 - 1, have no row to corrupt
-        assert caught == 108
+                factor(modulus(n, sign))
+        assert calls == {"_cycle_kernel": 120, "_left_kernel": 0}
+        factor(X * modulus(10, ModulusSign.MINUS))
+        factor(P("x^4+x+2"))
+        assert calls == {"_cycle_kernel": 120, "_left_kernel": 2}
+
+    def test_random_binomials_match_sympy(self):
+        # a x^m + b, with 3 | m (the cube steps before the cycles) and a = 2
+        # (a unit taken out first) among the fixed cases
+        rng = random.Random(31)
+        cases = [(2, 300, 1), (1, 297, 2), (2, 243, 2), (1, 2, 2)]
+        for _ in range(8):
+            a, b = rng.randrange(1, 3), rng.randrange(1, 3)
+            cases.append((a, rng.randrange(1, 301), b))
+        for a, m, b in cases:
+            f = Z3Poly([b] + [0] * (m - 1) + [a])
+            assert factor(f) == sympy_factorization(f), f
+
+    def test_binomial_factor_count_is_the_cycle_count(self):
+        for m in range(1, 201):
+            if m % 3:
+                for c in (1, 2):
+                    count = poly._binomial_factor_count(m, c)
+                    assert count == len(poly._cycle_kernel(m, c)[0]), (m, c)
 
     def test_budget_bounds_the_squarefree_part(self, monkeypatch):
         monkeypatch.setattr(poly, "MAX_BERLEKAMP_DEGREE", 10)

@@ -9,8 +9,8 @@ rebuilds the frozen reference constructions.
 The parser is built from two tables.  ``ARGUMENTS`` declares every
 command argument once, and ``COMMANDS`` maps each leaf command (a
 top-level command, or a command and its action) to its handler and the
-arguments it takes, in order.  Each handler returns a
-``CommandResult``; ``main`` renders it.
+arguments it takes, in order; ``main`` builds the parser once per
+process.  Each handler returns a ``CommandResult``; ``main`` renders it.
 
 Output is deterministic: identical invocations produce byte-identical
 stdout.  JSON (``--json``) is the machine format; the default text
@@ -613,8 +613,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call: a parser holds no
+    state between parses, and its help and errors are formatted and
+    written when they are printed."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         result = args.func(args)
     except TernringError as err:

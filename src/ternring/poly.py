@@ -398,7 +398,7 @@ class Factorization(Record):
             for _ in range(e):
                 layer = [d * p for d in layer]
                 out = out + layer
-        out.sort()
+        out.sort(key=Z3Poly.sort_key)
         return tuple(out)
 
     def divisor_degrees(self, max_degree: int) -> set[int]:

@@ -208,7 +208,7 @@ def _dual_containing_generators(n: int, sign: ModulusSign) -> list[Z3Poly]:
         else:
             choices = [p**a * q**b for a in range(mult + 1) for b in range(mult + 1 - a)]
         gens = [g * h for g in gens for h in choices]
-    gens.sort()
+    gens.sort(key=Z3Poly.sort_key)
     return gens
 
 

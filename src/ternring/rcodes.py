@@ -239,13 +239,17 @@ class GrayShift:
     """A map built by ``gray_shift``: ``on_masks`` sends lists of (ones,
     twos) masks of Gray rows to the masks of their images, and a call
     sends GF(3) arrays of shape (..., 3n) to int8 arrays of their images
-    by packing, ``on_masks`` and unpacking."""
+    by packing, ``on_masks`` and unpacking.  It is immutable, so one
+    instance can serve every caller of the same shape."""
 
     __slots__ = ("n", "on_masks")
 
     def __init__(self, n: int, on_masks):
-        self.n = n
-        self.on_masks = on_masks
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "on_masks", on_masks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GrayShift is immutable")
 
     def __call__(self, rows) -> np.ndarray:
         rows = np.asarray(rows)

@@ -14,6 +14,8 @@ with unit leading coefficient is exact, which gives:
 
 from __future__ import annotations
 
+import functools
+
 from .errors import (
     BudgetExceeded,
     EvenLength,
@@ -34,6 +36,7 @@ from .rcodes import (
     gray_shift,
 )
 from .ring import (
+    ELEMENTS,
     ONE,
     RingElement,
     ZERO,
@@ -70,10 +73,11 @@ __all__ = [
 # plane a tail: 9^6, the degree-6 sieve that n = 12 and n = 13 need.
 MAX_SIEVE_TAILS = 9**6
 
-# Longest vector length s*l of a module the builder closes: the closure
-# costs about cubically in it.  skew_cyclic_code(x+2, 200) and a
-# (50, 4) module, bases read, take 0.26-0.29 s and 30 MB peak RSS in
-# a fresh process on a 2-vCPU x86_64 machine.
+# Longest vector length s*l of a module the builder closes: the
+# elimination of its seeds costs about cubically in it.
+# skew_cyclic_code(x+2, 200) and the (50, 4) module of (x+2, ..., x+2),
+# bases read, take 0.21-0.22 s and 0.12 s, at 30 MB and 28 MB peak RSS,
+# in a fresh process on a 2-vCPU x86_64 machine (Python 3.11).
 MAX_MODULE_LENGTH = 200
 
 
@@ -103,6 +107,16 @@ class SkewPoly:
         while coeffs and coeffs[-1] is ZERO:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
+
+    @classmethod
+    def _trusted(cls, coeffs: list) -> "SkewPoly":
+        """The polynomial of a list of ``RingElement`` coefficients, which
+        it takes over: only the trailing zeros are stripped."""
+        while coeffs and coeffs[-1] is ZERO:
+            coeffs.pop()
+        p = cls.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(coeffs))
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewPoly is immutable")
@@ -231,7 +245,12 @@ def power_minus_constant(n: int, lam) -> SkewPoly:
 
 def skew_right_divmod(f: SkewPoly, g: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
     """Quotient and remainder with f = q*g + r, deg r < deg g; the
-    divisor must have a unit leading coefficient."""
+    divisor must have a unit leading coefficient.
+
+    A zero divisor and a non-unit leading coefficient are refused first;
+    then a dividend of lower degree than g is its own remainder, (0, f),
+    with no step run.  The results are built from the ring elements of
+    the division, with only their trailing zeros stripped."""
     if not g:
         raise ZeroDivisionError("skew division by zero")
     u = g.lead
@@ -239,8 +258,10 @@ def skew_right_divmod(f: SkewPoly, g: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
         raise NonUnitLeadingCoefficient(
             f"leading coefficient {u} is not a unit"
         )
-    rem = list(f.coeffs)
     dg = g.degree
+    if f.degree < dg:
+        return SkewPoly._trusted([]), f
+    rem = list(f.coeffs)
     q = [ZERO] * max(len(rem) - dg, 0)
     # (c x^t) * g twists g's coefficients by theta^t, of period 2
     inv = u.inverse()
@@ -254,7 +275,7 @@ def skew_right_divmod(f: SkewPoly, g: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
         c = q[t] = rem[top] * u_inv[t % 2]
         for j, b in enumerate(twisted[t % 2]):
             rem[t + j] = rem[t + j] - c * b
-    return SkewPoly(q), SkewPoly(rem[:dg])
+    return SkewPoly._trusted(q), SkewPoly._trusted(rem[:dg])
 
 
 def is_right_divisor(f: SkewPoly, n: int, lam) -> bool:
@@ -580,27 +601,54 @@ class SkewCyclicCode(SkewQCModule):
 def one_generator_sqc(polys, s: int, l: int, lam) -> SkewQCModule:
     """Module generated by (f_1, ..., f_l) under left multiplication by
     ring constants and x; each nonzero f_j must be a monic right divisor
-    of x^s - lam."""
+    of x^s - lam.
+
+    x^s - lam is built once, and serves the reduction of each input (run
+    only on degree s or more), the divisibility test and the common
+    divisor: ``gcld(fs, s, lam)``, or None where its chain meets a
+    non-unit leading coefficient."""
     _require_module_length(s * l)
     if s % 2:
         raise OddS("sectioned modules need an even number of blocks")
     lam = _require_unit(lam)
+    m = power_minus_constant(s, lam)
     fs = []
     for p in polys:
-        p = _reduce(SkewPoly(p), s, lam)
+        p = SkewPoly(p)
+        if p.degree >= s:
+            p = skew_right_divmod(p, m)[1]
         if p:
             p = p.monic()
-            if not is_right_divisor(p, s, lam):
+            if skew_right_divmod(m, p)[1]:
                 raise NotRightDivisor(f"{p} does not right-divide x^{s}-({lam})")
         fs.append(p)
     fs = tuple(fs)
     if len(fs) != l:
         raise LengthMismatch(f"expected {l} polynomials, got {len(fs)}")
+    return _skew_module(SkewQCModule, s, l, lam, fs, _divisor_chain(fs, m))
+
+
+def _divisor_chain(divisors, m: SkewPoly) -> SkewPoly | None:
+    """``gcld`` of monic right divisors of m = x^s - lam, or None where
+    its chain meets a non-unit leading coefficient.  The chain of gcld
+    starts with the gcd of m and the first nonzero divisor, which is that
+    divisor, so this one starts there; with no nonzero divisor it is m."""
+    g = None
     try:
-        g = gcld(fs, s, lam)
+        for p in divisors:
+            if p:
+                g = p if g is None else _right_gcd(g, p)
     except NonUnitLeadingCoefficient:
-        g = None
-    return _skew_module(SkewQCModule, s, l, lam, fs, g)
+        return None
+    return m if g is None else g
+
+
+@functools.lru_cache(maxsize=256)
+def _left_x(n: int, unit: int, l: int):
+    """Left multiplication by x on length-n modules of l sections with
+    wrap constant lam = ``ELEMENTS[unit]``, a ``GrayShift``: the twisted
+    sectioned shift with wrap factor theta(lam), built once per shape."""
+    return gray_shift(n, ELEMENTS[unit].theta(), l, twist=True)
 
 
 def _skew_module(cls, s: int, l: int, lam, generators, common_divisor):
@@ -609,22 +657,31 @@ def _skew_module(cls, s: int, l: int, lam, generators, common_divisor):
 
     Left multiplication by x is the twisted sectioned shift with wrap
     factor theta(lam): the automorphism passes over the wrapped
-    coefficient before x^s = lam applies.  The closure starts from the
-    idempotent projections of x^i times the generator vector for each i
-    below the rank the common divisor predicts (s if its chain failed),
-    so a free module closes in one round; a rank of 0 uses no seed row.
-    The seed rows are bit-sliced masks read off the generators' Gray
-    coordinates, shifted by the mask form of left_x, and the closure
-    runs on masks: no array is built until the module's ``basis`` is
-    read.  The entry points have checked s * l against
-    ``MAX_MODULE_LENGTH``."""
+    coefficient before x^s = lam applies; ``_left_x`` builds it once
+    per shape.  The seeds are the idempotent projections of x^i times
+    the generator vector for each i below the rank r the common divisor
+    predicts (s if its chain failed); a rank of 0 uses no seed row.
+    They are bit-sliced masks read off the generators' Gray coordinates
+    and shifted by the mask form of left_x.
+
+    left_x maps the seeds of step i to those of step i + 1, so the span
+    M0 of the seeds, extended by the images of the last ones (step r),
+    is M1, which contains left_x(M0).  If that adds nothing, M0 is the
+    module and no closure round runs, as for most free modules;
+    otherwise the module is the closure of M1.  No array is built until
+    the module's ``basis`` is read.  The entry points have checked s * l
+    against ``MAX_MODULE_LENGTH``."""
     n = s * l
-    left_x = gray_shift(n, lam.theta(), l, twist=True)
+    left_x = _left_x(n, lam.index, l)
     step = _projection_masks([p.coeff(i) for i in range(s) for p in generators])
     ones, twos = [], []
     for _ in range(s if common_divisor is None else s - common_divisor.degree):
         ones += step[0]
         twos += step[1]
         step = left_x.on_masks(*step)
-    module = GrayModule._from_masks(ones, twos, n).closure([left_x])
+    module = GrayModule._from_masks(ones, twos, n)
+    if ones:
+        grown = module._extend(*step)
+        if grown.rank > module.rank:
+            module = grown.closure([left_x])
     return cls(s, l, lam, generators, common_divisor, module)

@@ -66,7 +66,7 @@ from ternring.skew import (
     skew_right_divmod,
     vector_to_polys,
 )
-from ternring.skew import MAX_MODULE_LENGTH, _mirror
+from ternring.skew import MAX_MODULE_LENGTH, _mirror, _reduce
 
 P = parse_skew_poly
 
@@ -209,6 +209,25 @@ class TestRightDivision:
             skew_right_divmod(P("x^2+v"), P("vx"))
         with pytest.raises(ZeroDivisionError):
             skew_right_divmod(P("x"), SkewPoly())
+
+    def test_short_dividend_is_its_own_remainder(self):
+        for f in (SkewPoly(), P("v"), P("x+v^2"), P("(1+v)x^2+2")):
+            q, r = skew_right_divmod(f, P("x^3+vx+2"))
+            assert (q, r) == (SkewPoly(), f)
+        # the divisor is refused before the degrees are compared
+        with pytest.raises(ZeroDivisionError):
+            skew_right_divmod(SkewPoly(), SkewPoly())
+        with pytest.raises(NonUnitLeadingCoefficient):
+            skew_right_divmod(P("1"), P("vx"))
+
+    def test_results_are_stripped_ring_elements(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            f = random_skew(rng, 8)
+            q, r = skew_right_divmod(f, random_unit_lead(rng, rng.randint(0, 4)))
+            for p in (q, r):
+                assert all(isinstance(c, ring.RingElement) for c in p.coeffs)
+                assert p == SkewPoly(p.coeffs) and (not p or p.lead is not ZERO)
 
     def test_reconstruction_property(self):
         rng = random.Random(7)
@@ -883,8 +902,6 @@ class TestOneGenerator:
         # theta(lam): the twist passes over the wrapped coefficient
         # before the modulus relation substitutes lam
         rng = random.Random(37)
-        from ternring.skew import _reduce
-
         for lam in UNITS:
             for s, l in ((2, 1), (2, 2), (4, 2)):
                 for _ in range(10):
@@ -976,6 +993,128 @@ class TestOneGenerator:
             skew_cyclic_code(P("x+2"), n)
         with pytest.raises(BudgetExceeded):
             one_generator_sqc([P("1")] * (n // 2), 2, n // 2, 1)
+
+
+def _seed_closure(fs, s, l, lam):
+    """The module that one_generator_sqc must build, by the closure of its
+    seeds, and gcld's common divisor (None where gcld raises).  The seeds
+    are the ring vectors of x^i * (f_1, ..., f_l) reduced modulo x^s - lam,
+    for i below the rank the common divisor predicts (s where its chain
+    fails)."""
+    try:
+        g = gcld(fs, s, lam)
+    except NonUnitLeadingCoefficient:
+        g = None
+    seeds = [
+        polys_to_vector([_reduce(SkewPoly.x_power(i) * f, s, lam) for f in fs], s, l)
+        for i in range(s if g is None else s - g.degree)
+    ]
+    left_x = gray_shift(s * l, lam.theta(), l, twist=True)
+    return GrayModule.from_rvectors(seeds, s * l).closure([left_x]), g
+
+
+def _assert_matches_seed_closure(m):
+    module, g = _seed_closure(m.generators, m.s, m.l, m.lam)
+    assert m.module == module, (m, m.module.rank, module.rank)
+    assert m.common_divisor == g, m
+
+
+class TestModuleBuilder:
+    """The builder's shortcuts (no reduction below degree s, the divisor
+    chain from the first divisor, one left-x shift per shape, and no
+    closure round when the last seed step adds nothing) against the
+    closure of the seeds and gcld."""
+
+    def test_every_small_generator_tuple(self):
+        checked = 0
+        for s, l in ((2, 1), (2, 2), (4, 1)):
+            for lam in UNITS:
+                divs = monic_right_divisors(s, lam)
+                for tup in itertools.product(divs, repeat=l):
+                    _assert_matches_seed_closure(one_generator_sqc(tup, s, l, lam))
+                    checked += 1
+        assert checked == 24 + 96 + 96
+
+    def test_sampled_generator_tuples(self):
+        rng = random.Random(47)
+        for s, l, per_unit in ((4, 2, 40), (6, 1, 20)):
+            for lam in UNITS:
+                divs = monic_right_divisors(s, lam)
+                for _ in range(per_unit):
+                    tup = [rng.choice(divs) for _ in range(l)]
+                    _assert_matches_seed_closure(one_generator_sqc(tup, s, l, lam))
+
+    def test_unreduced_and_unnormalized_generators(self):
+        # inputs of degree s or more are reduced, and unit leads scaled
+        # away, before the divisibility test and the chain
+        rng = random.Random(53)
+        for lam in UNITS:
+            divs = [d for d in monic_right_divisors(4, lam) if d.degree < 4]
+            m = power_minus_constant(4, lam)
+            for _ in range(4):
+                fs = [rng.choice(UNITS) * rng.choice(divs) for _ in range(2)]
+                padded = [random_unit_lead(rng, rng.randint(0, 2)) * m + f for f in fs]
+                built = one_generator_sqc(padded, 4, 2, lam)
+                assert built.generators == tuple(f.monic() for f in fs)
+                _assert_matches_seed_closure(built)
+
+    def test_rank_zero_modules(self):
+        for lam in UNITS:
+            m = power_minus_constant(2, lam)
+            for tup in ([m], [m, m], [SkewPoly(), SkewPoly()]):
+                built = one_generator_sqc(tup, 2, len(tup), lam)
+                assert built.generators == (SkewPoly(),) * len(tup)
+                assert built.common_divisor == m
+                assert built.gray_dimension == 0
+                _assert_matches_seed_closure(built)
+        # the truncation of x^n - 1, which the empty seed leaves out
+        zero = skew_cyclic_code(power_minus_constant(4, 1), 4)
+        assert zero.gray_dimension == 0 and zero.common_divisor == zero.f
+
+    def test_failed_chain_seeds_every_step(self):
+        built = one_generator_sqc([P("x+1"), P("x+1+v^2")], 2, 2, 1)
+        assert built.common_divisor is None
+        _assert_matches_seed_closure(built)
+
+    def test_free_modules_run_no_closure_round(self, monkeypatch):
+        # free modules whose seeds are independent; over every tuple at
+        # (4, 2), 32 of the 704 free modules still need a round
+        def refused(self, maps):
+            raise AssertionError("a free module ran a closure round")
+
+        monkeypatch.setattr(GrayModule, "closure", refused)
+        for built in (
+            one_generator_sqc([P("x+1")], 2, 1, 1),
+            one_generator_sqc([P("1"), P("1")], 2, 2, 1),
+            one_generator_sqc([P("x+1"), P("x+1")], 4, 2, 1),
+            skew_cyclic_code(P("x^3+x^2+x+1"), 12),
+        ):
+            assert built.is_free_of_expected_rank
+
+    def test_non_free_module_runs_the_closure(self, monkeypatch):
+        rounds = []
+        closure = GrayModule.closure
+
+        def spied(self, maps):
+            rounds.append(self.rank)
+            return closure(self, maps)
+
+        monkeypatch.setattr(GrayModule, "closure", spied)
+        built = one_generator_sqc([P("x+1"), P("x^2+(v+v^2)x+2+v+v^2")], 4, 2, 1)
+        assert built.gray_dimension == 11 and rounds
+        monkeypatch.undo()
+        _assert_matches_seed_closure(built)
+
+    def test_one_left_x_shift_per_shape(self):
+        a = one_generator_sqc([P("x+1"), P("1")], 2, 2, 1)
+        b = one_generator_sqc([P("1"), P("x+1")], 2, 2, 1)
+        shift = skew._left_x(4, ONE.index, 2)
+        assert skew._left_x(4, ONE.index, 2) is shift
+        assert a.module.closure([shift]) == a.module
+        assert b.module.closure([shift]) == b.module
+        assert skew._left_x.cache_info().maxsize is not None
+        with pytest.raises(AttributeError):
+            shift.n = 5
 
 
 def _ring_closure(vectors, ops, n):

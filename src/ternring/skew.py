@@ -6,7 +6,9 @@ with unit leading coefficient is exact, which gives:
 
 * right divisors of x^n - lam and the left modules they generate,
 * one-generator skew quasi-twisted modules as Gray-coordinate modules,
-  skew cyclic codes among them as the case l = 1, lam = 1,
+  skew cyclic codes among them as the case l = 1, lam = 1; the build of
+  a single generator shows whether it right-divides x^s - lam, so no
+  division tests it,
 * a Hermitian pairing on the quotient module that detects Euclidean
   orthogonality under all twisted sectioned shifts at once,
 * greatest common divisors along right-division Euclidean chains.
@@ -76,8 +78,10 @@ MAX_SIEVE_TAILS = 9**6
 # Longest vector length s*l of a module the builder closes: the
 # elimination of its seeds costs about cubically in it.
 # skew_cyclic_code(x+2, 200) and the (50, 4) module of (x+2, ..., x+2),
-# bases read, take 0.21-0.22 s and 0.12 s, at 30 MB and 28 MB peak RSS,
-# in a fresh process on a 2-vCPU x86_64 machine (Python 3.11).
+# bases read, take 0.07-0.09 s and 0.04-0.05 s, at 30 MB and 28 MB peak
+# RSS, in a fresh process on a 2-vCPU x86_64 machine (Python 3.11).  A
+# single generator that does not divide is refused after that
+# elimination: skew_cyclic_code(x+v, 200) takes 0.026-0.036 s there.
 MAX_MODULE_LENGTH = 200
 
 
@@ -390,16 +394,24 @@ def _pair_division_sieve(m: SkewPoly, d: int) -> list[tuple[tuple[int, int], ...
 
 def skew_cyclic_code(f: SkewPoly, n: int) -> SkewCyclicCode:
     """Module generated by a monic right divisor of x^n - 1; spanned by
-    f, xf, ..., x^{n-deg f-1}f and closed under the twisted shift."""
+    f, xf, ..., x^{n-deg f-1}f and closed under the twisted shift.
+
+    Whether f divides is read off the build (``_skew_module``), with no
+    division.  A monic f of degree n divides only when it is x^n - 1,
+    and one of higher degree never does."""
     _require_module_length(n)
     f = SkewPoly(f)
     if not f:
         raise ZeroPolynomial("generator must be nonzero")
     f = f.monic()
-    if not is_right_divisor(f, n, ONE):
+    code = None
+    # a length below 1 goes on to the builder, whose shift refuses it
+    if f.degree < max(n, 1) or f == power_minus_constant(n, ONE):
+        # a right divisor of x^n - 1 is its own common divisor with it
+        code = _skew_module(SkewCyclicCode, n, 1, ONE, (f,), f)
+    if code is None:
         raise NotRightDivisor(f"{f} does not right-divide x^{n}+2")
-    # a right divisor of x^n - 1 is its own common divisor with it
-    return _skew_module(SkewCyclicCode, n, 1, ONE, (f,), f)
+    return code
 
 
 def count_skew_cyclic(n: int) -> int:
@@ -451,11 +463,6 @@ def polys_to_vector(polys, s: int, l: int):
 # -- Hermitian pairing ------------------------------------------------------
 
 
-def _reduce(f: SkewPoly, s: int, lam) -> SkewPoly:
-    _, r = skew_right_divmod(f, power_minus_constant(s, lam))
-    return r
-
-
 def hermitian_conjugate(p: SkewPoly, s: int, lam) -> SkewPoly:
     """Conjugation reversing x-powers modulo x^s - lam.
 
@@ -495,10 +502,11 @@ def hermitian_inner_product(a, b, s: int, lam) -> SkewPoly:
     if len(a) != len(b):
         raise LengthMismatch("vectors must have equal length")
     lam = _require_unit(lam)
+    m = power_minus_constant(s, lam)
     acc = SkewPoly()
     for pa, pb in zip(a, b):
-        acc = acc + pa * hermitian_conjugate(_reduce(pb, s, lam), s, lam)
-    return _reduce(acc, s, lam)
+        acc = acc + pa * hermitian_conjugate(skew_right_divmod(pb, m)[1], s, lam)
+    return skew_right_divmod(acc, m)[1]
 
 
 # -- gcld -------------------------------------------------------------------
@@ -606,12 +614,17 @@ def one_generator_sqc(polys, s: int, l: int, lam) -> SkewQCModule:
     x^s - lam is built once, and serves the reduction of each input (run
     only on degree s or more), the divisibility test and the common
     divisor: ``gcld(fs, s, lam)``, or None where its chain meets a
-    non-unit leading coefficient."""
+    non-unit leading coefficient.  With l = 1 and one input, the build
+    itself shows whether the generator divides (``_skew_module``), and no
+    division tests it; otherwise each input is divided before the count
+    of inputs is checked."""
     _require_module_length(s * l)
     if s % 2:
         raise OddS("sectioned modules need an even number of blocks")
     lam = _require_unit(lam)
     m = power_minus_constant(s, lam)
+    polys = list(polys)
+    read_off = l == 1 and len(polys) == 1
     fs = []
     for p in polys:
         p = SkewPoly(p)
@@ -619,13 +632,16 @@ def one_generator_sqc(polys, s: int, l: int, lam) -> SkewQCModule:
             p = skew_right_divmod(p, m)[1]
         if p:
             p = p.monic()
-            if skew_right_divmod(m, p)[1]:
+            if not read_off and skew_right_divmod(m, p)[1]:
                 raise NotRightDivisor(f"{p} does not right-divide x^{s}-({lam})")
         fs.append(p)
     fs = tuple(fs)
     if len(fs) != l:
         raise LengthMismatch(f"expected {l} polynomials, got {len(fs)}")
-    return _skew_module(SkewQCModule, s, l, lam, fs, _divisor_chain(fs, m))
+    built = _skew_module(SkewQCModule, s, l, lam, fs, _divisor_chain(fs, m))
+    if built is None:
+        raise NotRightDivisor(f"{fs[0]} does not right-divide x^{s}-({lam})")
+    return built
 
 
 def _divisor_chain(divisors, m: SkewPoly) -> SkewPoly | None:
@@ -653,7 +669,8 @@ def _left_x(n: int, unit: int, l: int):
 
 def _skew_module(cls, s: int, l: int, lam, generators, common_divisor):
     """Record cls of the module that the generators (each of degree below
-    s, or x^s - lam) generate under left multiplication.
+    s, or x^s - lam) generate under left multiplication; with l = 1, None
+    when the generator does not right-divide x^s - lam.
 
     Left multiplication by x is the twisted sectioned shift with wrap
     factor theta(lam): the automorphism passes over the wrapped
@@ -670,7 +687,19 @@ def _skew_module(cls, s: int, l: int, lam, generators, common_divisor):
     module and no closure round runs, as for most free modules;
     otherwise the module is the closure of M1.  No array is built until
     the module's ``basis`` is read.  The entry points have checked s * l
-    against ``MAX_MODULE_LENGTH``."""
+    against ``MAX_MODULE_LENGTH``.
+
+    With l = 1 the generator f is monic of degree d < s (or zero, with
+    no seed), its own common divisor, and step r = s - d adds nothing
+    exactly when f right-divides x^s - lam (Boucher-Ulmer 2009): right
+    division gives x^s - lam = q*f + r' with deg r' < d and q monic of
+    degree s - d, so x^(s-d)*f is (x^(s-d) - q)*f - r' modulo
+    x^s - lam, and (x^(s-d) - q)*f lies in M0, the polynomials g*f with
+    deg g < s - d.  Each nonzero g*f has degree deg g + d >= d, as
+    lead(g*f) = lead(g) for a monic f, so a projection of r', of degree
+    below d, lies in M0 only when it is zero: the step adds rank
+    exactly when r' is nonzero.  Then no closure round runs, and the
+    result is None."""
     n = s * l
     left_x = _left_x(n, lam.index, l)
     step = _projection_masks([p.coeff(i) for i in range(s) for p in generators])
@@ -680,8 +709,8 @@ def _skew_module(cls, s: int, l: int, lam, generators, common_divisor):
         twos += step[1]
         step = left_x.on_masks(*step)
     module = GrayModule._from_masks(ones, twos, n)
-    if ones:
-        grown = module._extend(*step)
-        if grown.rank > module.rank:
-            module = grown.closure([left_x])
+    if ones and not module._spans(*step):
+        if l == 1:
+            return None
+        module = module._extend(*step).closure([left_x])
     return cls(s, l, lam, generators, common_divisor, module)

@@ -3,6 +3,8 @@ divisors and the left modules they generate, code counts, the
 Hermitian pairing against shifted Euclidean orthogonality, and common
 left divisors."""
 
+import collections
+import functools
 import hashlib
 import itertools
 import random
@@ -66,9 +68,14 @@ from ternring.skew import (
     skew_right_divmod,
     vector_to_polys,
 )
-from ternring.skew import MAX_MODULE_LENGTH, _mirror, _reduce
+from ternring.skew import MAX_MODULE_LENGTH, _mirror
 
 P = parse_skew_poly
+
+
+def _reduce(f, s, lam):
+    """The remainder of f modulo x^s - lam."""
+    return skew_right_divmod(f, power_minus_constant(s, lam))[1]
 
 
 def monic_right_divisors_brute(n, lam):
@@ -895,6 +902,17 @@ class TestOneGenerator:
                 # coefficient: the wrap factor is theta(lam)
                 step = _nabla(lam.theta(), 2)
                 assert m.module.is_closed_under(step)
+        # a wrap constant moved by the automorphism has right divisors
+        # other than 1 and x^s - lam from s = 6 on, so only there does a
+        # seed step wrap; the divisors of x^6 - theta(lam) are refused
+        for lam in _MOVED_UNITS:
+            divs = _nontrivial_divisors(6, lam)
+            for fs in [[f] for f in divs] + [rng.sample(divs, 2) for _ in range(3)]:
+                m = one_generator_sqc(fs, 6, len(fs), lam)
+                assert m.module.is_closed_under(_nabla(lam.theta(), len(fs)))
+            for f in _nontrivial_divisors(6, lam.theta()):
+                with pytest.raises(NotRightDivisor):
+                    one_generator_sqc([f], 6, 1, lam)
 
     def test_left_x_action_wrap_factor(self):
         # pointwise, left multiplication by x sends the vector of
@@ -993,6 +1011,14 @@ class TestOneGenerator:
             skew_cyclic_code(P("x+2"), n)
         with pytest.raises(BudgetExceeded):
             one_generator_sqc([P("1")] * (n // 2), 2, n // 2, 1)
+
+
+_MOVED_UNITS = tuple(u for u in UNITS if u.theta() is not u)
+
+
+def _nontrivial_divisors(s, lam):
+    """The monic right divisors of x^s - lam other than 1 and itself."""
+    return [d for d in monic_right_divisors(s, lam) if 0 < d.degree < s]
 
 
 def _seed_closure(fs, s, l, lam):
@@ -1160,6 +1186,20 @@ class TestGrayClosure:
                     seed = polys_to_vector(m.generators, s, l)
                     oracle = _ring_closure([seed], [_nabla(lam.theta(), l)], s * l)
                     assert m.module.basis.tobytes() == oracle.basis.tobytes()
+        # with a wrap constant moved by the automorphism, every generator
+        # at (6, 1) and every pair at (6, 2) other than 1 and x^6 - lam:
+        # a seed step wraps, and a pair whose divisor chain fails seeds
+        # every step
+        chain_failures = 0
+        for lam in _MOVED_UNITS:
+            divs = _nontrivial_divisors(6, lam)
+            for fs in [(f,) for f in divs] + list(itertools.product(divs, repeat=2)):
+                m = one_generator_sqc(fs, 6, len(fs), lam)
+                chain_failures += m.common_divisor is None
+                seed = polys_to_vector(fs, 6, len(fs))
+                oracle = _ring_closure([seed], [_nabla(lam.theta(), len(fs))], 6 * len(fs))
+                assert m.module.basis.tobytes() == oracle.basis.tobytes(), (fs, lam)
+        assert chain_failures == 32
 
     def test_random_seeds_and_two_maps(self):
         # seeds that are not divisor-generated, where the wrap constant
@@ -1175,3 +1215,131 @@ class TestGrayClosure:
                     got = GrayModule.from_rvectors(seeds, n).closure(maps[:k])
                     oracle = _ring_closure(seeds, ops[:k], n)
                     assert got.basis.tobytes() == oracle.basis.tobytes()
+
+
+def _monic(tail):
+    return SkewPoly([*tail, ONE])
+
+
+def _expect_read_off(build, f, s, lam, message):
+    """Build the single-generator module of f, zero or monic: it must
+    raise NotRightDivisor with the given message exactly when right
+    division of x^s - lam by f leaves a remainder, and otherwise have the
+    basis of the ring-side closure of the vector of f modulo x^s - lam
+    under left multiplication by x.  Returns whether it was refused."""
+    divides = not f or not skew_right_divmod(power_minus_constant(s, lam), f)[1]
+    try:
+        built = build()
+    except NotRightDivisor as err:
+        assert not divides, (f, s, lam)
+        assert str(err) == message
+        return True
+    assert divides, (f, s, lam)
+    seed = polys_to_vector([_reduce(f, s, lam)], s, 1)
+    oracle = _ring_closure([seed], [_nabla(lam.theta(), 1)], s)
+    assert built.module.basis.tobytes() == oracle.basis.tobytes(), (f, s, lam)
+    return False
+
+
+def _expect_module(f, s, lam):
+    """``_expect_read_off`` for one_generator_sqc([f], s, 1, lam); its
+    input is reduced modulo x^s - lam and made monic first, and None when
+    the reduced input has a leading coefficient that is not a unit."""
+    p = _reduce(f, s, lam) if f.degree >= s else f
+    if p and not p.lead.is_unit():
+        with pytest.raises(NonUnitLeadingCoefficient):
+            one_generator_sqc([f], s, 1, lam)
+        return None
+    p = p.monic() if p else p
+    return _expect_read_off(
+        lambda: one_generator_sqc([f], s, 1, lam),
+        p,
+        s,
+        lam,
+        f"{p} does not right-divide x^{s}-({lam})",
+    )
+
+
+def _expect_code(f, n):
+    """``_expect_read_off`` for skew_cyclic_code(f, n), f monic of any
+    degree."""
+    return _expect_read_off(
+        lambda: skew_cyclic_code(f, n), f, n, ONE, f"{f} does not right-divide x^{n}+2"
+    )
+
+
+class TestSingleGeneratorReadOff:
+    """skew_cyclic_code, and one_generator_sqc with l = 1 and one input,
+    read whether their generator right-divides x^s - lam off its build:
+    the refusals are exactly those of right division, with its messages,
+    and the accepted builds are the ring-side closures."""
+
+    def test_every_generator_at_s2(self):
+        # every nonzero generator of degree below 2, with any leading
+        # coefficient, and every monic one of degree 2, reduced first
+        outcomes = collections.Counter()
+        for lam in UNITS:
+            for pair in itertools.product(ELEMENTS, repeat=2):
+                for f in (SkewPoly(pair), _monic(pair)):
+                    if f:
+                        outcomes[_expect_module(f, 2, lam)] += 1
+        assert outcomes == {False: 264, True: 3328, None: 8064}
+
+    def test_every_code_with_n_at_most_2(self):
+        outcomes = collections.Counter()
+        for n in (1, 2):
+            for d in range(n + 2):
+                for tail in itertools.product(ELEMENTS, repeat=d):
+                    outcomes[_expect_code(_monic(tail), n)] += 1
+        divisors = len(monic_right_divisors(1, 1)) + len(monic_right_divisors(2, 1))
+        assert outcomes[False] == divisors
+        assert outcomes[True] == 757 + 20440 - divisors
+
+    def test_sampled_generators(self):
+        # about 2,000 monic generators, half of them right divisors
+        rng = random.Random(59)
+        divisors = functools.lru_cache(maxsize=None)(monic_right_divisors)
+        refused = 0
+        for i in range(500):
+            s, lam = rng.choice((4, 6)), rng.choice(UNITS)
+            f = rng.choice(divisors(s, lam))
+            refused += _expect_module(f, s, lam)
+            tail = [rng.choice(ELEMENTS) for _ in range(rng.randrange(s))]
+            refused += _expect_module(_monic(tail), s, lam)
+            n = rng.randint(3, 6)
+            refused += _expect_code(rng.choice(divisors(n, ONE)), n)
+            tail = [rng.choice(ELEMENTS) for _ in range(rng.randrange(n + 2))]
+            refused += _expect_code(_monic(tail), n)
+        assert 800 < refused < 1000
+
+    def test_error_order_with_two_inputs_and_l1(self):
+        # every input is divided before the count is checked, so a
+        # non-divisor among two inputs is refused before LengthMismatch
+        divisor, other = P("x+1"), P("x+v")
+        for pair in ((other, divisor), (divisor, other)):
+            with pytest.raises(NotRightDivisor) as err:
+                one_generator_sqc(pair, 2, 1, 1)
+            assert str(err.value) == "x+v does not right-divide x^2-(1)"
+        with pytest.raises(LengthMismatch):
+            one_generator_sqc([divisor, divisor], 2, 1, 1)
+
+    def test_single_generators_run_no_division(self, monkeypatch):
+        # reduced generators, accepted and refused, and the wrap constant
+        # moved by the automorphism
+        moved = next(u for u in UNITS if u.theta() is not u)
+        moved_divisor = monic_right_divisors(6, moved)[1]
+        other_divisor = monic_right_divisors(6, moved.theta())[1]
+
+        def divided(f, g):
+            raise AssertionError("a single-generator build divided")
+
+        monkeypatch.setattr(skew, "skew_right_divmod", divided)
+        assert skew_cyclic_code(P("x^3+x^2+x+1"), 12).rank == 9
+        assert one_generator_sqc([moved_divisor], 6, 1, moved).gray_dimension == 12
+        assert one_generator_sqc([P("x+1")], 4, 1, 1).gray_dimension == 9
+        with pytest.raises(NotRightDivisor):
+            skew_cyclic_code(P("x+v"), 2)
+        with pytest.raises(NotRightDivisor):
+            one_generator_sqc([P("x+v")], 4, 1, 1)
+        with pytest.raises(NotRightDivisor):
+            one_generator_sqc([other_divisor], 6, 1, moved)

@@ -42,7 +42,7 @@ from .errors import (
     SelfCheckFailed,
     ZeroPolynomial,
 )
-from .ring import MAX_PARSED_EXPONENT, _check_exponent, format_ring_poly
+from .ring import _check_exponent, _check_modulus_degree, format_ring_poly
 
 __all__ = [
     "Z3Poly",
@@ -67,7 +67,7 @@ __all__ = [
 MAX_BERLEKAMP_DEGREE = 2000
 
 
-class Z3Poly:
+class Z3Poly(Record):
     """A polynomial over GF(3); immutable, compared by coefficients, and
     held as their masks ``ones`` and ``twos`` (see the module docstring)."""
 
@@ -77,9 +77,6 @@ class Z3Poly:
         ones, twos = gf3linalg._row_masks([c % 3 for c in coeffs])
         object.__setattr__(self, "ones", ones)
         object.__setattr__(self, "twos", twos)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Z3Poly is immutable")
 
     # -- constructors --------------------------------------------------
 
@@ -342,15 +339,9 @@ class ModulusSign(Enum):
 
 
 def modulus(n: int, sign: ModulusSign) -> Z3Poly:
-    """x^n - 1 for PLUS, x^n + 1 for MINUS.  Raises ``BudgetExceeded``
-    above degree ``MAX_PARSED_EXPONENT``, before the dense coefficients
-    are allocated, as the parsers refuse such a polynomial."""
-    if n < 1:
-        raise ValueError("length must be positive")
-    if n > MAX_PARSED_EXPONENT:
-        raise BudgetExceeded(
-            f"a modulus of degree {n} is above the budget of {MAX_PARSED_EXPONENT}"
-        )
+    """x^n - 1 for PLUS, x^n + 1 for MINUS; n is checked by
+    ``ring._check_modulus_degree``."""
+    _check_modulus_degree(n)
     tail = -1 if sign is ModulusSign.PLUS else 1
     return Z3Poly([tail] + [0] * (n - 1) + [1])
 

@@ -16,8 +16,8 @@ the orthogonal idempotents.  This module provides:
 * transport between cyclic and constacyclic codes for odd length,
 * GrayModule: a generic submodule engine over Gray coordinates, held as
   bit-sliced masks, used for closures under Gray-space shifts and
-  brute-force checks; only ``basis``, ``dual`` and ``lee_distance``
-  unpack its basis into an int8 array.
+  brute-force checks; ``basis`` unpacks them into an int8 array on each
+  read, and only ``dual`` and ``lee_distance`` read it.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 
 from . import gf3linalg
+from ._record import Record
 from .errors import (
     BadFactorization,
     BudgetExceeded,
@@ -235,7 +236,7 @@ def gray_shift(n: int, lam=ONE, l: int = 1, twist: bool = False) -> "GrayShift":
     return GrayShift(n, gf3linalg._block_rotation(n, l, doubled, twist))
 
 
-class GrayShift:
+class GrayShift(Record):
     """A map built by ``gray_shift``: ``on_masks`` sends lists of (ones,
     twos) masks of Gray rows to the masks of their images, and a call
     sends GF(3) arrays of shape (..., 3n) to int8 arrays of their images
@@ -245,11 +246,7 @@ class GrayShift:
     __slots__ = ("n", "on_masks")
 
     def __init__(self, n: int, on_masks):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "on_masks", on_masks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GrayShift is immutable")
+        self._set(n=n, on_masks=on_masks)
 
     def __call__(self, rows) -> np.ndarray:
         rows = np.asarray(rows)
@@ -268,7 +265,7 @@ class GrayShift:
 _KINDS = ("cyclic", "negacyclic", "constacyclic")
 
 
-class RCode:
+class RCode(Record):
     """A linear code over the ring given by its three ternary component
     codes (first, second, third Gray coordinate)."""
 
@@ -297,13 +294,7 @@ class RCode:
             raise MixedModuli(
                 f"component moduli {signs} do not match the wrap constants {expected}"
             )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "components", components)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RCode is immutable")
+        self._set(n=n, kind=kind, lam=lam, components=components)
 
     # -- constructors --------------------------------------------------
 
@@ -335,18 +326,6 @@ class RCode:
         if sign is ModulusSign.PLUS:
             return cls.cyclic(n, generators)
         return cls.negacyclic(n, generators)
-
-    def __eq__(self, other):
-        if not isinstance(other, RCode):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.lam is other.lam
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.lam, self.components))
 
     def __repr__(self):
         gens = ", ".join(str(c.g) for c in self.components)
@@ -520,7 +499,7 @@ def classify_constacyclic(lam) -> tuple[str, str, str]:
 # -- generic Gray-coordinate submodules ------------------------------------
 
 
-class GrayModule:
+class GrayModule(Record):
     """A submodule of the ambient module of length-n ring vectors, stored
     as the GF(3) row space of the Gray images of its elements.
 
@@ -528,13 +507,13 @@ class GrayModule:
     basis (see ``gf3linalg``) and nothing else.  ``rank``,
     ``block_ranks``, equality, hashing, membership, ``closure``,
     ``is_v_closed``, ``is_closed_under`` and ``basis_rvectors`` read the
-    masks; ``basis``, the int8 RREF rows, is unpacked on its first read
-    and kept, and only ``dual`` and ``lee_distance`` read it.  A subspace
+    masks; ``basis``, the int8 RREF rows, is unpacked from them on each
+    read, and only ``dual`` and ``lee_distance`` read it.  A subspace
     of Gray space is a submodule exactly when it is closed under the
     linear map induced by multiplication by v; spans produced by
     from_rvectors are closed by construction."""
 
-    __slots__ = ("n", "_ones", "_twos", "_basis")
+    __slots__ = ("n", "_ones", "_twos")
 
     def __init__(self, rows, n: int):
         ones, twos, pivots, _ = gf3linalg._reduced(np.reshape(rows, (-1, 3 * n)))
@@ -544,7 +523,6 @@ class GrayModule:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_ones", tuple(ones))
         object.__setattr__(self, "_twos", tuple(twos))
-        object.__setattr__(self, "_basis", None)
 
     @classmethod
     def _from_masks(cls, ones: list[int], twos: list[int], n: int) -> "GrayModule":
@@ -560,9 +538,6 @@ class GrayModule:
             *gf3linalg._extended(self._ones, self._twos, ones, twos, 3 * self.n), self.n
         )
         return grown
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GrayModule is immutable")
 
     @classmethod
     def from_rvectors(cls, vectors, n: int | None = None) -> "GrayModule":
@@ -614,11 +589,8 @@ class GrayModule:
 
     @property
     def basis(self) -> np.ndarray:
-        """The int8 RREF basis rows, unpacked on the first read."""
-        if self._basis is None:
-            basis = gf3linalg._unpack_masks([*self._ones], [*self._twos], 3 * self.n)
-            object.__setattr__(self, "_basis", basis)
-        return self._basis
+        """The int8 RREF basis rows, unpacked from the masks on each read."""
+        return gf3linalg._unpack_masks([*self._ones], [*self._twos], 3 * self.n)
 
     @property
     def rank(self) -> int:
@@ -683,11 +655,3 @@ class GrayModule:
         if self.rank == 0:
             raise ZeroCode("the zero module has no nonzero element")
         return gf3linalg.min_weight(self.basis)
-
-    def __eq__(self, other):
-        if not isinstance(other, GrayModule):
-            return NotImplemented
-        return (self.n, self._ones, self._twos) == (other.n, other._ones, other._twos)
-
-    def __hash__(self):
-        return hash((self.n, self._ones, self._twos))

@@ -28,7 +28,8 @@ from __future__ import annotations
 import itertools
 import re
 
-from .errors import NotAUnit
+from ._record import Record
+from .errors import BudgetExceeded, NotAUnit
 
 __all__ = [
     "RingElement",
@@ -83,7 +84,7 @@ _LEE = [sum(1 for g in _GRAY[x] if g) for x in range(27)]
 _IS_UNIT = [all(_GRAY[x]) for x in range(27)]
 
 
-class RingElement:
+class RingElement(Record):
     """An interned element a + b*v + c*v^2 of GF(3)[v]/(v^3 - v)."""
 
     __slots__ = ("index",)
@@ -91,8 +92,9 @@ class RingElement:
     def __new__(cls, a: int = 0, b: int = 0, c: int = 0) -> "RingElement":
         return ELEMENTS[(a % 3) + 3 * (b % 3) + 9 * (c % 3)]
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RingElement is immutable")
+    def __reduce__(self):
+        # unpickles to the interned instance
+        return element, self.coeffs
 
     # -- structure ---------------------------------------------------
 
@@ -330,6 +332,18 @@ def _check_exponent(power: int) -> int:
     if power > MAX_PARSED_EXPONENT:
         raise ValueError(f"exponent {power} is above {MAX_PARSED_EXPONENT}")
     return power
+
+
+def _check_modulus_degree(n: int) -> None:
+    """Refuse x^n -+ c for n < 1, and above degree ``MAX_PARSED_EXPONENT``
+    before its dense coefficients are allocated, as the parsers refuse
+    such a polynomial."""
+    if n < 1:
+        raise ValueError("length must be positive")
+    if n > MAX_PARSED_EXPONENT:
+        raise BudgetExceeded(
+            f"a modulus of degree {n} is above the budget of {MAX_PARSED_EXPONENT}"
+        )
 
 
 _RPOLY_TERM = re.compile(

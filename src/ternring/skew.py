@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 
+from ._record import Record
 from .errors import (
     BudgetExceeded,
     EvenLength,
@@ -42,7 +43,7 @@ from .ring import (
     ONE,
     RingElement,
     ZERO,
-    MAX_PARSED_EXPONENT,
+    _check_modulus_degree,
     format_ring_poly,
     from_gray,
     parse_ring_poly,
@@ -98,7 +99,7 @@ def _as_element(value) -> RingElement:
     return value if isinstance(value, RingElement) else scalar(value)
 
 
-class SkewPoly:
+class SkewPoly(Record):
     """Immutable skew polynomial; coefficients ascending, multiplication
     twisted by the automorphism."""
 
@@ -122,9 +123,6 @@ class SkewPoly:
         object.__setattr__(p, "coeffs", tuple(coeffs))
         return p
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewPoly is immutable")
-
     # -- structure -----------------------------------------------------
 
     def __bool__(self):
@@ -147,14 +145,6 @@ class SkewPoly:
 
     def coeff(self, i: int) -> RingElement:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else ZERO
-
-    def __eq__(self, other):
-        if not isinstance(other, SkewPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __str__(self):
         return format_ring_poly(self.coeffs)
@@ -236,13 +226,8 @@ def parse_skew_poly(text: str) -> SkewPoly:
 
 
 def power_minus_constant(n: int, lam) -> SkewPoly:
-    """x^n - lam.  Raises ``BudgetExceeded`` above degree
-    ``MAX_PARSED_EXPONENT``, before the dense coefficients are
-    allocated, as the parsers refuse such a polynomial."""
-    if n > MAX_PARSED_EXPONENT:
-        raise BudgetExceeded(
-            f"a modulus of degree {n} is above the budget of {MAX_PARSED_EXPONENT}"
-        )
+    """x^n - lam; n is checked by ``ring._check_modulus_degree``."""
+    _check_modulus_degree(n)
     lam = _as_element(lam)
     return SkewPoly([-lam] + [ZERO] * (n - 1) + [ONE])
 
@@ -400,13 +385,13 @@ def skew_cyclic_code(f: SkewPoly, n: int) -> SkewCyclicCode:
     division.  A monic f of degree n divides only when it is x^n - 1,
     and one of higher degree never does."""
     _require_module_length(n)
+    _check_modulus_degree(n)
     f = SkewPoly(f)
     if not f:
         raise ZeroPolynomial("generator must be nonzero")
     f = f.monic()
     code = None
-    # a length below 1 goes on to the builder, whose shift refuses it
-    if f.degree < max(n, 1) or f == power_minus_constant(n, ONE):
+    if f.degree < n or f == power_minus_constant(n, ONE):
         # a right divisor of x^n - 1 is its own common divisor with it
         code = _skew_module(SkewCyclicCode, n, 1, ONE, (f,), f)
     if code is None:
@@ -495,6 +480,7 @@ def hermitian_inner_product(a, b, s: int, lam) -> SkewPoly:
     """Sum of a_j(x) * conj(b_j(x)) reduced modulo x^s - lam; zero
     exactly when the underlying vectors stay Euclidean-orthogonal under
     every twisted sectioned shift."""
+    _check_modulus_degree(s)
     if s % 2:
         raise OddS("the Hermitian pairing needs an even number of blocks")
     a = [SkewPoly(p) for p in a]
@@ -535,7 +521,7 @@ def gcld(polys, s: int, lam) -> SkewPoly:
 # -- one-generator quasi-twisted modules ------------------------------------
 
 
-class SkewQCModule:
+class SkewQCModule(Record):
     """Module of length-s*l vectors generated by one polynomial vector
     under left multiplication, closed under the twisted sectioned
     shift."""
@@ -549,9 +535,6 @@ class SkewQCModule:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "common_divisor", common_divisor)
         object.__setattr__(self, "module", module)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def n(self) -> int:
@@ -619,6 +602,7 @@ def one_generator_sqc(polys, s: int, l: int, lam) -> SkewQCModule:
     division tests it; otherwise each input is divided before the count
     of inputs is checked."""
     _require_module_length(s * l)
+    _check_modulus_degree(s)
     if s % 2:
         raise OddS("sectioned modules need an even number of blocks")
     lam = _require_unit(lam)

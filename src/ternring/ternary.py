@@ -28,6 +28,7 @@ from __future__ import annotations
 from math import comb
 
 from . import gf3linalg
+from ._record import Record
 from .errors import (
     BudgetExceeded,
     LengthMismatch,
@@ -50,7 +51,7 @@ __all__ = ["TernaryPolyCode", "MAX_DISTANCE_WORDS"]
 MAX_DISTANCE_WORDS = 30_000_000
 
 
-class TernaryPolyCode:
+class TernaryPolyCode(Record):
     """An ideal of Z3[x]/(x^n - 1) or Z3[x]/(x^n + 1), as a linear code."""
 
     __slots__ = ("n", "sign", "g", "k", "__weakref__")
@@ -68,17 +69,6 @@ class TernaryPolyCode:
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "k", n - g.degree)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TernaryPolyCode is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, TernaryPolyCode):
-            return NotImplemented
-        return (self.n, self.sign, self.g) == (other.n, other.sign, other.g)
-
-    def __hash__(self):
-        return hash((self.n, self.sign, self.g))
 
     def __repr__(self):
         return f"TernaryPolyCode(n={self.n}, sign={self.sign}, g={self.g}, k={self.k})"

@@ -4,6 +4,8 @@ decompositions, duals, constacyclic transport, and Gray-side modules."""
 import itertools
 import random
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -545,12 +547,15 @@ class TestGrayModule:
         m = GrayModule(rows, n)
         probes = [*rng.integers(0, 3, size=(4, 3 * n))]
         probes += [*(rng.integers(0, 3, size=(3, len(rows))) @ rows % 3)]
-        inside = [m.contains_gray(p) for p in probes]
-        vectors = [ungray_vector(p) for p in probes]
-        assert [m.contains(v) for v in vectors] == inside
         ops = (cyclic_shift, negacyclic_shift, skew_cyclic_shift)
-        closed = [m.is_closed_under(op) for op in ops]
-        assert m._basis is None
+        with mock.patch.object(
+            gf3linalg, "_unpack_masks", wraps=gf3linalg._unpack_masks
+        ) as unpack:
+            inside = [m.contains_gray(p) for p in probes]
+            vectors = [ungray_vector(p) for p in probes]
+            assert [m.contains(v) for v in vectors] == inside
+            closed = [m.is_closed_under(op) for op in ops]
+        assert unpack.call_count == 0
         assert inside == [
             gf3linalg.row_space_contains(m.basis, p.reshape(1, -1)) for p in probes
         ]
@@ -582,14 +587,17 @@ class TestGrayModule:
             mixed = rng.integers(0, 3, size=(int(rng.integers(0, 2)), 3 * n))
             rows = np.vstack([rows, mixed])
         m = GrayModule(rows, n)
-        ranks, closed = m.block_ranks, m.is_v_closed()
-        assert m._basis is None
+        with mock.patch.object(
+            gf3linalg, "_unpack_masks", wraps=gf3linalg._unpack_masks
+        ) as unpack:
+            ranks, closed = m.block_ranks, m.is_v_closed()
+        assert unpack.call_count == 0
         assert ranks == tuple(
             gf3linalg.rank(m.basis[:, b * n : (b + 1) * n]) for b in range(3)
         )
         assert closed == m.is_closed_under(lambda vec: tuple(V * e for e in vec))
 
-    def test_basis_is_unpacked_once_on_first_read(self, monkeypatch):
+    def test_basis_is_unpacked_on_each_read(self, monkeypatch):
         calls = []
         for name in ("_bitsliced_masks", "_unpack_masks"):
             real = getattr(gf3linalg, name)
@@ -609,9 +617,13 @@ class TestGrayModule:
         for module in built:
             basis = module.basis
             assert calls == ["_unpack_masks"]
-            assert module.basis is basis
-            assert calls == ["_unpack_masks"]
             assert basis.shape == (module.rank, 3 * module.n)
+            assert basis.tolist() == [
+                [*gf3linalg._row_entries(a1, a2, 3 * module.n)]
+                for a1, a2 in zip(module._ones, module._twos)
+            ]
+            assert np.array_equal(module.basis, basis)
+            assert calls == ["_unpack_masks"] * 2
             calls.clear()
 
     def test_equality_and_hash(self):

@@ -27,7 +27,7 @@ from ternring.errors import (
     OddS,
     SelfCheckFailed,
 )
-from ternring.poly import ModulusSign, divisors_of_modulus
+from ternring.poly import ModulusSign, divisors_of_modulus, modulus
 from ternring.rcodes import (
     GrayModule,
     RCode,
@@ -269,6 +269,37 @@ class TestRightDivision:
         assert power_minus_constant(2, 1) == P("x^2+2")
         assert power_minus_constant(3, E("2")) == P("x^3+1")
         assert power_minus_constant(4, E("1+2v^2")) == P("x^4+2+v^2")
+
+
+class TestDegreeGuard:
+    """x^n - lam for n < 1 is refused by the one check that
+    ``poly.modulus`` shares, before any division or module build."""
+
+    ENTRY_POINTS = {
+        "modulus": lambda n: modulus(n, ModulusSign.PLUS),
+        "power_minus_constant": lambda n: power_minus_constant(n, 1),
+        "skew_cyclic_code(1)": lambda n: skew_cyclic_code(P("1"), n),
+        "skew_cyclic_code(x+v)": lambda n: skew_cyclic_code(P("x+v"), n),
+        "one_generator_sqc": lambda n: one_generator_sqc([P("x+1")], n, 1, 1),
+        "monic_right_divisors": lambda n: monic_right_divisors(n, 1),
+        "gcld": lambda n: gcld([P("x+1")], n, 1),
+        "is_right_divisor": lambda n: is_right_divisor(P("x+1"), n, 1),
+        "hermitian_inner_product": lambda n: hermitian_inner_product(
+            [P("1")], [P("x")], n, 1
+        ),
+    }
+
+    @pytest.mark.parametrize("n", [-1, 0])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_refused_before_any_build(self, monkeypatch, entry, n):
+        def refuse(*args):
+            raise AssertionError("built or divided past the degree check")
+
+        for name in ("_skew_module", "skew_right_divmod", "factor"):
+            monkeypatch.setattr(skew, name, refuse)
+        with pytest.raises(ValueError, match="^length must be positive$") as err:
+            self.ENTRY_POINTS[entry](n)
+        assert type(err.value) is ValueError
 
 
 class TestRightDivisors:

@@ -5,6 +5,8 @@ It stands in for frozen dataclasses: the ``dataclasses`` module imports
 A value class gets from it fields that can be neither set nor deleted,
 equality and hashing by class and fields, the ``Name(field=value, ...)``
 form, and pickling that rebuilds it without running its constructor.
+A record that carries a mutable field is unhashable, and says so with
+``__hash__ = None``.
 The small records set their fields through ``_set``; the classes built
 in hot loops write their slots with ``object.__setattr__``: through
 ``_set``, ``GrayModule._hold`` and ``SkewQCModule`` made the ``skew``

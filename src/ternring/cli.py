@@ -49,7 +49,7 @@ from .rcodes import (
     section_shift,
     skew_cyclic_shift,
 )
-from .ring import ELEMENTS, format_ring_poly, parse_element
+from .ring import ELEMENTS, UNITS, format_ring_poly, parse_element
 from .skew import (
     count_skew_cyclic,
     gcld,
@@ -92,9 +92,11 @@ SELFTEST_TRIALS = 200
 class CommandResult(Record):
     """Outcome of one command: a JSON-ready payload, its text lines,
     the status ok / flag / error, and human-readable discrepancy notes
-    (nonempty exactly when the status is flag)."""
+    (nonempty exactly when the status is flag).  Its payload is a dict
+    and its notes a list, so it is unhashable."""
 
     __slots__ = ("payload", "human", "status", "notes")
+    __hash__ = None
 
     def __init__(
         self,
@@ -129,10 +131,6 @@ def _rcode(args) -> RCode:
     return RCode.from_sign(args.n, _sign(args.sign), _generators(args))
 
 
-def _lee_distance(code: RCode) -> int | None:
-    return None if code.is_zero else code.lee_distance()
-
-
 def _render_rcode(code: RCode) -> dict:
     return {
         "n": code.n,
@@ -141,7 +139,7 @@ def _render_rcode(code: RCode) -> dict:
         "f": [str(c.g) for c in code.components],
         "k": list(code.dims),
         "cardinality_log3": code.cardinality_log3,
-        "d_lee": _lee_distance(code),
+        "d_lee": None if code.is_zero else code.lee_distance(),
     }
 
 
@@ -216,11 +214,10 @@ def cmd_code_gray(args) -> CommandResult:
 
 def cmd_code_distance(args) -> CommandResult:
     code = _rcode(args)
+    components = [None if c.k == 0 else c.min_distance() for c in code.components]
     payload = {
-        "d_lee": _lee_distance(code),
-        "components": [
-            None if c.k == 0 else c.min_distance() for c in code.components
-        ],
+        "d_lee": min((d for d in components if d is not None), default=None),
+        "components": components,
     }
     return CommandResult(
         payload, [f"d_lee = {payload['d_lee']} components = {payload['components']}"]
@@ -406,10 +403,8 @@ def _property_failures(rng, trials):
         v = vector(rng.randrange(1, 17))
         return v, skew_cyclic_shift(v), gray_shift(len(v), twist=True)
 
-    units = [e for e in ELEMENTS if e.is_unit()]
-
     def constacyclic():
-        lam = rng.choice(units)
+        lam = rng.choice(UNITS)
         v = vector(rng.randrange(1, 17))
         return v, constacyclic_shift(v, lam), gray_shift(len(v), lam)
 

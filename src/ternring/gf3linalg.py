@@ -11,11 +11,15 @@ This module alone knows the word format: a word is bit-sliced
 one of those equal to 2, bit j being coordinate j, and ``_add`` is the
 one two-plane adder.  Int8 matrices are the public boundary; rows are
 held as Python-int (ones, twos) masks for elimination, and as uint64
-words for enumeration, where a weight is a popcount.  Every row
-reduction goes through ``_reduced``: pack once (``_bitsliced_masks``),
-run the one Gauss-Jordan loop (``_eliminate``), and unpack only what is
-asked for (``_unpack_masks``).  Rows that are already masks stay masks:
-``_extended`` joins new rows to a reduced set, and ``_block_rotation``
+words for enumeration, where a weight is a popcount.  Every int8 entry
+packs, runs a mask kernel and unpacks only what is asked for: row
+reduction goes through ``_reduced`` (``_bitsliced_masks``, then the one
+Gauss-Jordan loop ``_eliminate``), ``null_space`` reads its rows off the
+reduced masks (``_null_masks``), ``row_space_contains`` reduces the
+vectors by them (``_residues``), and ``_unpack_masks`` gives the array
+back.  Rows that are already masks stay masks: ``_extended`` joins new
+rows to a reduced set, ``rcodes.GrayModule`` takes its dual by
+``_null_masks``, and ``_block_rotation``
 is the one Gray-space shift (``rcodes.gray_shift``), a rotation of each
 block of a row with the wrapped bits doubled, so ``rcodes.GrayModule``
 closes a module under shifts without building an array.  Full
@@ -332,31 +336,35 @@ def row_basis(matrix) -> np.ndarray:
 
 
 def null_space(matrix) -> np.ndarray:
-    """Basis rows of {x : every row of matrix is orthogonal to x}: one row
-    per free column f, with 1 at f and -R[i, f] at the i-th pivot."""
-    r, pivots = rref(matrix)
-    cols = r.shape[1]
-    free = sorted(set(range(cols)).difference(pivots))
-    basis = np.zeros((len(free), cols), dtype=np.int8)
-    basis[range(len(free)), free] = 1
-    basis[:, pivots] = -r[: len(pivots), free].T % 3
-    return basis
+    """Basis rows of {x : every row of matrix is orthogonal to x}, one
+    per free column in order (``_null_masks``)."""
+    ones, twos, pivots, n = _reduced(matrix)
+    k = len(pivots)
+    return _unpack_masks(*_null_masks(ones[:k], twos[:k], n), n)
+
+
+def _null_masks(ones, twos, n: int) -> tuple[list[int], list[int]]:
+    """The masks of a basis of the length-n vectors orthogonal to the
+    reduced rows (ones, twos), whose pivots are their lowest set bits:
+    one row per free column f in order, with 1 at f and -R[i, f] at the
+    i-th pivot."""
+    pivots = [a & -a for a in ones]
+    held = sum(pivots)
+    free = [1 << f for f in range(n) if not held >> f & 1]
+    out1 = [f | sum(p for p, r2 in zip(pivots, twos) if r2 & f) for f in free]
+    return out1, [sum(p for p, r1 in zip(pivots, ones) if r1 & f) for f in free]
 
 
 def row_space_contains(matrix, vectors) -> bool:
     """Whether every given vector lies in the row space of matrix: the
-    vectors' masks are reduced by the pivot rows of the eliminated matrix
-    over its pivot columns, by the same ``_eliminate``, and must
-    vanish."""
+    vectors' masks must vanish once reduced by the pivot rows of the
+    eliminated matrix (``_residues``)."""
     v = as_gf3(vectors)
     ones, twos, pivots, n = _reduced(matrix)
     if v.shape[1] != n:
         raise ValueError("column count mismatch")
     k = len(pivots)
-    v_ones, v_twos = _bitsliced_masks(v)
-    ones, twos = ones[:k] + v_ones, twos[:k] + v_twos
-    _eliminate(ones, twos, pivots)
-    return not any(ones[k:]) and not any(twos[k:])
+    return not _residues(ones[:k], twos[:k], *_bitsliced_masks(v))[0]
 
 
 def same_row_space(a, b) -> bool:
@@ -492,16 +500,16 @@ def _min_combination_weight(ones, twos, n: int, t: int) -> int:
     where (a1 ^ b1) | (a2 ^ b2); then it extends the shorter sums by
     ``_add``.  (A depth-first walk, one call per partial sum, took 1.6 to
     2.5 times as long at t = 3 and 4.)  A larger level runs
-    ``_packed_min_combination_weight`` on the rows as words, packed once
-    for consecutive levels of the same rows."""
+    ``_packed_min_combination_weight`` on the rows packed as words
+    (``_mask_words``) anew: packing took about 4 us, such a level 0.07 ms
+    or more (k <= 26, n <= 46, 2-vCPU x86_64)."""
     k = len(ones)
     if not 1 <= t <= k:
         raise ValueError(f"cannot combine {t} of {k} rows")
     if t == 1:
         return min((a | b).bit_count() for a, b in zip(ones, twos))
     if (comb(k, t) << (t - 1)) * -(-n // 64) > _NUMPY_LEVEL_WORDS:
-        words = _packed_rows(tuple(ones), tuple(twos), n)
-        return _packed_min_combination_weight(words, t)
+        return _packed_min_combination_weight(_mask_words(ones, twos, n), t)
     # sums[d]: every sum of d + 1 of the rows before the current one,
     # the first with coefficient 1 and the others +-1
     sums = [[] for _ in range(t - 1)]
@@ -519,13 +527,6 @@ def _min_combination_weight(ones, twos, n: int, t: int) -> int:
             sums[d] += [_add(a1, a2, b2, b1) for a1, a2 in shorter]
         sums[0].append((b1, b2))
     return best
-
-
-@functools.lru_cache(maxsize=1)
-def _packed_rows(ones: tuple[int, ...], twos: tuple[int, ...], n: int) -> np.ndarray:
-    """``_mask_words`` of the rows, kept for the next level of the same
-    search."""
-    return _mask_words(ones, twos, n)
 
 
 def _packed_min_combination_weight(rows: np.ndarray, t: int) -> int:

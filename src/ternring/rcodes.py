@@ -16,8 +16,8 @@ the orthogonal idempotents.  This module provides:
 * transport between cyclic and constacyclic codes for odd length,
 * GrayModule: a generic submodule engine over Gray coordinates, held as
   bit-sliced masks, used for closures under Gray-space shifts and
-  brute-force checks; ``basis`` unpacks them into an int8 array on each
-  read, and only ``dual`` and ``lee_distance`` read it.
+  brute-force checks; every method reads the masks, and only ``basis``
+  unpacks them into an int8 array.
 """
 
 from __future__ import annotations
@@ -504,14 +504,13 @@ class GrayModule(Record):
     as the GF(3) row space of the Gray images of its elements.
 
     The module holds the (ones, twos) masks of its reduced row echelon
-    basis (see ``gf3linalg``) and nothing else.  ``rank``,
-    ``block_ranks``, equality, hashing, membership, ``closure``,
-    ``is_v_closed``, ``is_closed_under`` and ``basis_rvectors`` read the
-    masks; ``basis``, the int8 RREF rows, is unpacked from them on each
-    read, and only ``dual`` and ``lee_distance`` read it.  A subspace
-    of Gray space is a submodule exactly when it is closed under the
-    linear map induced by multiplication by v; spans produced by
-    from_rvectors are closed by construction."""
+    basis (see ``gf3linalg``) and nothing else.  Every method reads the
+    masks (``dual`` reads its null space off them, ``lee_distance``
+    searches their combinations); only ``basis``, the int8 RREF rows,
+    unpacks them, on each read.  A subspace of Gray space is a submodule
+    exactly when it is closed under the linear map induced by
+    multiplication by v; spans produced by from_rvectors are closed by
+    construction."""
 
     __slots__ = ("n", "_ones", "_twos")
 
@@ -646,12 +645,27 @@ class GrayModule(Record):
 
     def dual(self) -> "GrayModule":
         """Orthogonal module: Gray rows orthogonal to every basis row
-        (blockwise ternary duality matches ring-level duality)."""
-        if self.rank == 0:
-            return GrayModule(np.eye(3 * self.n, dtype=np.int8), self.n)
-        return GrayModule(gf3linalg.null_space(self.basis), self.n)
+        (blockwise ternary duality matches ring-level duality), read off
+        the held masks (``gf3linalg._null_masks``)."""
+        null = gf3linalg._null_masks(self._ones, self._twos, 3 * self.n)
+        return GrayModule._from_masks(*null, self.n)
 
     def lee_distance(self) -> int:
-        if self.rank == 0:
+        """Least Hamming weight of a nonzero Gray row, by the number t of
+        reduced rows combined (``gf3linalg``'s level kernel).  A sum of t
+        rows is nonzero at their t pivots, so a weight of at most t found
+        ends the search.  As full enumeration does, it refuses a rank
+        above ``MAX_ENUMERATION_DIM``."""
+        k, rows, width = self.rank, (self._ones, self._twos), 3 * self.n
+        if k == 0:
             raise ZeroCode("the zero module has no nonzero element")
-        return gf3linalg.min_weight(self.basis)
+        if k > (limit := gf3linalg.MAX_ENUMERATION_DIM):
+            raise BudgetExceeded(
+                f"enumeration of 3^{k} codewords exceeds the 3^{limit} limit"
+            )
+        best = width
+        for t in range(1, k + 1):
+            if best <= t:
+                break
+            best = min(best, gf3linalg._min_combination_weight(*rows, width, t))
+        return best

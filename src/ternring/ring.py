@@ -168,12 +168,10 @@ class RingElement(Record):
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = ONE
-        for _ in range(k):
-            out = out * self
-        return out
+        """The k-th power, Gray coordinate by coordinate (0^0 = 1); a
+        negative power is one of ``inverse()``, refused for a non-unit."""
+        base = self.inverse() if k < 0 else self
+        return from_gray([pow(t, abs(k), 3) for t in base.gray])
 
     def __bool__(self) -> bool:
         return self.index != 0
@@ -241,32 +239,16 @@ THETA_FIXED_UNITS = tuple(u for u in UNITS if u.theta() is u)
 
 
 def ideals() -> tuple[frozenset[RingElement], ...]:
-    """All ideals of the ring, found by brute force.
-
-    Additive subgroups are GF(3)-subspaces of the coefficient space;
-    we keep those closed under multiplication by every ring element.
-    The result has exactly 8 members.
-    """
-    spans = {frozenset(ELEMENTS)}
-    nonzero = ELEMENTS[1:]
-    for gens in itertools.chain(
-        [()],
-        itertools.combinations(nonzero, 1),
-        itertools.combinations(nonzero, 2),
-    ):
-        # A finite additive subgroup of the ring is a GF(3)-subspace,
-        # so proper subgroups are spanned by at most two elements.
-        span = {
-            sum(t * g for t, g in zip(ts, gens)) + ZERO
-            for ts in itertools.product(range(3), repeat=len(gens))
-        }
-        spans.add(frozenset(span))
+    """All 8 ideals of the ring, by size and then by their elements'
+    indices.  Under the Gray isomorphism onto GF(3)^3 an ideal is a
+    product of ideals of the three fields, each 0 or GF(3): the elements
+    whose Gray coordinates vanish off a support, the multiples e*x of the
+    idempotent e whose Gray coordinates are 1 on it and 0 off it."""
     out = [
-        s
-        for s in spans
-        if all((r * x) in s for r in ELEMENTS for x in s)
+        frozenset(e * x for x in ELEMENTS)
+        for e in map(from_gray, itertools.product((0, 1), repeat=3))
     ]
-    out.sort(key=lambda s: (len(s), sorted(e.index for e in s)))
+    out.sort(key=lambda s: (len(s), sorted(x.index for x in s)))
     return tuple(out)
 
 

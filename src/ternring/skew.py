@@ -451,9 +451,11 @@ def polys_to_vector(polys, s: int, l: int):
 def hermitian_conjugate(p: SkewPoly, s: int, lam) -> SkewPoly:
     """Conjugation reversing x-powers modulo x^s - lam.
 
-    The term c x^k maps to theta^k(c) w_k x^{(s-k) mod s} with wrap
-    constants w_0 = theta(lam), w_k = 1 for odd k, and w_k = lam
-    theta(lam) for even k >= 2.  These are the unique termwise factors
+    p is first reduced to its right remainder modulo x^s - lam (built by
+    ``power_minus_constant``, which refuses s < 1).  Then the term c x^k
+    maps to theta^k(c) w_k x^{(s-k) mod s} with wrap constants
+    w_0 = theta(lam), w_k = 1 for odd k, and w_k = lam theta(lam) for
+    even k >= 2.  These are the unique termwise factors
     (up to a unit) making each coefficient of a(x) conj(b(x)) a twisted
     Euclidean product of a shifted vector with the other vector, so the
     pairing vanishes exactly when the vectors are orthogonal under the
@@ -461,18 +463,16 @@ def hermitian_conjugate(p: SkewPoly, s: int, lam) -> SkewPoly:
     the automorphism every w_k is then a unit multiple of lam^k and the
     shift window 1..s is equivalent to 0..s-1."""
     lam = _as_element(lam)
+    p = skew_right_divmod(p, power_minus_constant(s, lam))[1]
     tl = lam.theta()
     w_even = lam * tl
     out = [ZERO] * s
+    # deg p < s, so each term lands on its own power (s - k) mod s
     for k, c in enumerate(p.coeffs):
-        if c is ZERO:
-            continue
         if k == 0:
-            out[0] = out[0] + c * tl
-        elif k % 2:
-            out[s - k] = out[s - k] + c.theta()
+            out[0] = c * tl
         else:
-            out[s - k] = out[s - k] + c * w_even
+            out[s - k] = c.theta() if k % 2 else c * w_even
     return SkewPoly(out)
 
 
@@ -491,7 +491,7 @@ def hermitian_inner_product(a, b, s: int, lam) -> SkewPoly:
     m = power_minus_constant(s, lam)
     acc = SkewPoly()
     for pa, pb in zip(a, b):
-        acc = acc + pa * hermitian_conjugate(skew_right_divmod(pb, m)[1], s, lam)
+        acc = acc + pa * hermitian_conjugate(pb, s, lam)
     return skew_right_divmod(acc, m)[1]
 
 

@@ -250,6 +250,32 @@ class TestCode:
         assert code == 0
         assert doc["payload"] == {"d_lee": 2, "components": [2, 2, 2]}
 
+    def test_distance_searches_each_component_once(self, monkeypatch):
+        calls = []
+        search = ternary.TernaryPolyCode.min_distance
+
+        def spy(self):
+            calls.append(self.g)
+            return search(self)
+
+        monkeypatch.setattr(ternary.TernaryPolyCode, "min_distance", spy)
+        # the middle component, generated by the modulus, is zero
+        code, doc, _ = run_json(
+            "code", "distance", "--n", "6", "--sign", "pos",
+            "--f1", "x^2+2", "--f2", "x^6+2", "--f3", "2x^2+1",
+        )
+        assert code == 0
+        assert doc["payload"] == {"d_lee": 2, "components": [2, None, 2]}
+        assert [str(g) for g in calls] == ["x^2+2", "x^2+2"]
+        calls.clear()
+        code, doc, _ = run_json(
+            "code", "distance", "--n", "3", "--sign", "pos",
+            "--f1", "x^3+2", "--f2", "x^3+2", "--f3", "x^3+2",
+        )
+        assert code == 0
+        assert doc["payload"] == {"d_lee": None, "components": [None, None, None]}
+        assert not calls
+
     def test_gray_rows(self):
         code, doc, _ = run_json(
             "code", "gray", "--n", "6", "--sign", "pos",

@@ -65,6 +65,40 @@ def int8_rref(matrix):
     return a, tuple(pivots)
 
 
+def int8_null_space(matrix):
+    """One null-space row per free column f of the int8 oracle's RREF R,
+    with 1 at f and -R[i, f] at the i-th pivot, filled in on int8: the
+    construction the mask routine replaced, kept as its oracle."""
+    r, pivots = int8_rref(matrix)
+    cols = r.shape[1]
+    free = sorted(set(range(cols)).difference(pivots))
+    basis = np.zeros((len(free), cols), dtype=np.int8)
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = -r[: len(pivots), free].T % 3
+    return basis
+
+
+@st.composite
+def ranked_matrices(draw):
+    """Matrices of at most 13 rows and 1..130 columns (63, 64 and 65
+    drawn on their own too): all zero, of full row rank, or with rows
+    that depend on the others."""
+    cols = draw(st.integers(1, 130) | st.sampled_from([63, 64, 65]))
+    rows = draw(st.integers(0, 13))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["zero", "full", "dependent"]))
+    if kind == "zero":
+        return np.zeros((rows, cols), dtype=np.int64)
+    if kind == "full":
+        rows = min(rows, cols)
+        while True:
+            m = rng.integers(0, 3, size=(rows, cols))
+            if len(int8_rref(m)[1]) == rows:
+                return m
+    base = rng.integers(0, 3, size=(draw(st.integers(0, rows)), cols))
+    return rng.integers(0, 3, size=(rows, base.shape[0])) @ base % 3
+
+
 @st.composite
 def matrices(draw, max_rows=40, max_cols=130):
     """Integer matrices of up to 40 rows and 130 columns (words of one, two
@@ -103,6 +137,14 @@ class TestElimination:
         assert basis.shape == (dimension, cols)
         assert not np.any(m @ basis.T.astype(np.int64) % 3)
         assert len(int8_rref(basis)[1]) == dimension
+
+    @given(st.one_of(matrices(), ranked_matrices()))
+    def test_null_space_matches_the_int8_free_column_fill(self, m):
+        expected = int8_null_space(m)
+        basis = gf3linalg.null_space(m)
+        assert basis.dtype == expected.dtype == np.int8
+        assert basis.shape == expected.shape
+        assert basis.tobytes() == expected.tobytes()
 
     @given(matrices(), st.integers(0, 2**32 - 1))
     def test_combinations_are_members_and_a_free_unit_vector_is_not(self, m, seed):

@@ -90,7 +90,8 @@ print(json.dumps(results))
 
 
 # Answers that GrayModule, RCode, TernaryPolyCode and the skew check read
-# off masks and generators, printed as one JSON list.
+# off masks and generators, printed as one JSON list; GrayModule's dual
+# and Lee distance among them.
 MASK_CALLS = BLOCK + r"""
 import json
 
@@ -105,6 +106,7 @@ code = RCode.cyclic(6, [P("x^2+2"), P("x^4+x^2+1"), P("1")])
 word = code.combined_generator()
 module = GrayModule.from_rvectors([(V, ONE), (ONE, ZERO)])
 subspace = GrayModule._from_masks([0b111], [0], 1)
+repetition = GrayModule.from_rvectors([(ONE, ONE, ONE)])
 results = [
     code.membership(word + (ZERO,) * (6 - len(word))),
     code.membership((ONE,) + (ZERO,) * 5),
@@ -119,6 +121,14 @@ results = [
     TernaryPolyCode(6, code.sign, P("x^2+2")).membership([2, 0, 1, 0, 0, 0]),
     TernaryPolyCode(6, code.sign, P("x^2+2")).membership([1, 0, 0, 0, 0, 0]),
     sum(1 for _ in RCode.cyclic(3, [P("x+2"), P("1"), P("x^3+2")]).codewords()),
+    module.dual().rank,
+    GrayModule._from_masks([], [], 2).dual().rank,
+    repetition.rank,
+    repetition.lee_distance(),
+    repetition.dual().rank,
+    repetition.dual().lee_distance(),
+    repetition.dual().contains((ONE, 2 * ONE, ZERO)),
+    repetition.dual().contains((ONE, ZERO, ZERO)),
 ]
 results.append("numpy" in sys.modules)
 print(json.dumps(results))
@@ -152,7 +162,7 @@ def test_mask_answers_run_where_numpy_cannot_be_imported():
     assert not loaded
     assert results == [
         True, False, True, False, [2, 2, 2], True, [1, 1, 1], False, True, False,
-        True, False, 3**5,
+        True, False, 3**5, 0, 6, 3, 3, 6, 2, True, False,
     ]
 
 

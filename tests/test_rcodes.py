@@ -570,6 +570,33 @@ class TestGrayModule:
         with pytest.raises(LengthMismatch):
             m.contains(vectors[0] + vectors[0])
 
+    @given(st.integers(1, 6), st.integers(0, 14), st.integers(0, 2**32 - 1))
+    def test_dual_and_lee_distance_match_the_int8_oracles(self, n, k, seed):
+        # both read the held masks, and unpack no basis; the oracles are
+        # orthogonality and rank on the int8 bases, and min_weight, which
+        # enumerates the whole span
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 3, size=(k, 3 * n))
+        rows[rng.random(rows.shape) < rng.random()] = 0
+        m = GrayModule(rows, n)
+        with mock.patch.object(
+            gf3linalg, "_unpack_masks", wraps=gf3linalg._unpack_masks
+        ) as unpack:
+            dual = m.dual()
+            distance = m.lee_distance() if m.rank else None
+        assert unpack.call_count == 0
+        assert dual.rank == 3 * n - m.rank
+        assert not np.any(m.basis.astype(np.int64) @ dual.basis.T % 3)
+        assert dual.dual() == m
+        if m.rank:
+            assert distance == gf3linalg.min_weight(m.basis)
+
+    def test_lee_distance_refuses_a_rank_above_the_enumeration_cap(self):
+        cap = gf3linalg.MAX_ENUMERATION_DIM
+        assert GrayModule(np.eye(cap, 3 * cap, dtype=np.int8), cap).lee_distance() == 1
+        with pytest.raises(BudgetExceeded, match=f"3\\^{cap + 1} codewords"):
+            GrayModule(np.eye(cap + 1, 3 * cap, dtype=np.int8), cap).lee_distance()
+
     @given(st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1))
     def test_block_ranks_and_v_closure_match_the_ring_side_oracle(
         self, n, structured, seed

@@ -136,6 +136,30 @@ class TestArithmetic:
         assert element(2, 0, 2) ** 2 == ONE
         assert element(1, 1, 1) ** 0 == ONE
 
+    def test_pow_matches_repeated_multiplication(self):
+        for x in ELEMENTS:
+            power = ONE
+            for k in range(13):
+                assert x**k is power
+                if x.is_unit():
+                    # every unit is its own inverse
+                    assert x ** -k is power
+                elif k:
+                    with pytest.raises(NotAUnit):
+                        x ** -k
+                power = power * x
+
+    def test_pow_multiplies_nothing(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("__pow__ multiplied")
+
+        monkeypatch.setattr(RingElement, "__mul__", refuse)
+        # v^3 = v, so an even power of v is v^2
+        assert V ** 10**9 is V2
+        assert TWO ** -(10**9 + 1) is TWO
+        with pytest.raises(NotAUnit):
+            V ** -(10**9)
+
 
 class TestGray:
     def test_explicit_images(self):
@@ -274,19 +298,26 @@ class TestIdeals:
         assert len(ids) == 8
         assert sorted(len(s) for s in ids) == [1, 3, 3, 3, 9, 9, 9, 27]
 
-    def test_matches_gray_support_oracle(self):
-        # Under the coordinatewise isomorphism the ideals are exactly the
-        # sets cut out by forcing a subset of Gray coordinates to zero.
-        expected = set()
-        for mask in itertools.product((0, 1), repeat=3):
-            expected.add(
+    def test_matches_brute_force_span_oracle(self):
+        # every additive subgroup is a GF(3)-subspace of the coefficient
+        # space, so a proper one is spanned by at most two elements; the
+        # ideals are the spans closed under multiplication by every
+        # element, in the order of ideals()
+        spans = {frozenset(ELEMENTS)}
+        for gens in itertools.chain(
+            [()],
+            itertools.combinations(ELEMENTS[1:], 1),
+            itertools.combinations(ELEMENTS[1:], 2),
+        ):
+            spans.add(
                 frozenset(
-                    x
-                    for x in ELEMENTS
-                    if all(m or t == 0 for m, t in zip(mask, x.gray))
+                    sum(t * g for t, g in zip(ts, gens)) + ZERO
+                    for ts in itertools.product(range(3), repeat=len(gens))
                 )
             )
-        assert set(ideals()) == expected
+        expected = [s for s in spans if all(r * x in s for r in ELEMENTS for x in s)]
+        expected.sort(key=lambda s: (len(s), sorted(e.index for e in s)))
+        assert ideals() == tuple(expected)
 
     def test_each_is_multiplicatively_closed_subgroup(self):
         for ideal in ideals():

@@ -287,6 +287,7 @@ class TestDegreeGuard:
         "hermitian_inner_product": lambda n: hermitian_inner_product(
             [P("1")], [P("x")], n, 1
         ),
+        "hermitian_conjugate": lambda n: hermitian_conjugate(P("x"), n, 1),
     }
 
     @pytest.mark.parametrize("n", [-1, 0])
@@ -721,7 +722,37 @@ def _zero_masks(forms, n):
     return mask
 
 
+def termwise_conjugate(p, s, lam):
+    """The conjugate of a p of degree below s, term by term: c x^k goes
+    to theta^k(c) w_k x^((s - k) mod s), w_0 = theta(lam), w_k = 1 for
+    odd k and lam theta(lam) for even k >= 2."""
+    out = [ZERO] * s
+    for k, c in enumerate(p.coeffs):
+        w = lam.theta() if k == 0 else ONE if k % 2 else lam * lam.theta()
+        out[(s - k) % s] += (c.theta() if k % 2 else c) * w
+    return SkewPoly(out)
+
+
 class TestHermitianPairing:
+    def test_conjugate_is_taken_on_the_quotient(self):
+        # p and its remainder modulo x^s - lam have one conjugate, and
+        # below degree s it is the termwise formula
+        rng = random.Random(11)
+        for s in (1, 2, 4, 6):
+            for lam in UNITS:
+                m = power_minus_constant(s, lam)
+                for _ in range(20):
+                    p = random_skew(rng, 3 * s - 1)
+                    residue = skew_right_divmod(p, m)[1]
+                    assert hermitian_conjugate(p, s, lam) == hermitian_conjugate(
+                        residue, s, lam
+                    )
+                    assert hermitian_conjugate(residue, s, lam) == termwise_conjugate(
+                        residue, s, lam
+                    )
+        # deg p >= 2s raised IndexError before p was reduced: x^5 = x mod x^2 - 1
+        assert hermitian_conjugate(P("x^5"), 2, 1) == hermitian_conjugate(P("x"), 2, 1)
+
     def test_conjugate_goldens(self):
         assert hermitian_conjugate(P("1"), 2, 1) == P("1")
         assert hermitian_conjugate(P("x"), 2, 1) == P("x")

@@ -42,7 +42,7 @@ from .errors import (
     SelfCheckFailed,
     ZeroPolynomial,
 )
-from .ring import _check_exponent, _check_modulus_degree, format_ring_poly
+from .ring import _check_exponent, _check_modulus_degree, _joined_terms
 
 __all__ = [
     "Z3Poly",
@@ -183,13 +183,20 @@ class Z3Poly(Record):
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Z3Poly":
-        out, base = Z3Poly._from_masks(1, 0), self
-        while k:
+        """Square and multiply, started at the lowest set bit of k, so
+        that no product has the unit as a factor."""
+        if k < 0:
+            raise ValueError("a polynomial has no negative power")
+        if not k:
+            return Z3Poly._from_masks(1, 0)
+        base = self
+        while not k & 1:
+            base, k = base * base, k >> 1
+        out = base
+        while k := k >> 1:
+            base = base * base
             if k & 1:
                 out = out * base
-            k >>= 1
-            if k:  # no square past the top bit of k
-                base = base * base
         return out
 
     def divmod(self, other: "Z3Poly") -> tuple["Z3Poly", "Z3Poly"]:
@@ -252,7 +259,13 @@ class Z3Poly(Record):
     # -- text ------------------------------------------------------------
 
     def __str__(self) -> str:
-        return format_ring_poly(self.coeffs)
+        # the terms read off the masks, the top set bit first
+        ones, rest, terms = self.ones, self.ones | self.twos, []
+        while rest:
+            i = rest.bit_length() - 1
+            rest ^= 1 << i
+            terms.append((i, "1" if ones >> i & 1 else "2"))
+        return _joined_terms(terms)
 
     def __repr__(self) -> str:
         return f"Z3Poly({self})"
@@ -342,8 +355,9 @@ def modulus(n: int, sign: ModulusSign) -> Z3Poly:
     """x^n - 1 for PLUS, x^n + 1 for MINUS; n is checked by
     ``ring._check_modulus_degree``."""
     _check_modulus_degree(n)
-    tail = -1 if sign is ModulusSign.PLUS else 1
-    return Z3Poly([tail] + [0] * (n - 1) + [1])
+    if sign is ModulusSign.PLUS:
+        return Z3Poly._from_masks(1 << n, 1)
+    return Z3Poly._from_masks(1 << n | 1, 0)
 
 
 def gcd(f: Z3Poly, g: Z3Poly) -> Z3Poly:

@@ -27,6 +27,7 @@ import functools
 import gc
 import itertools
 import math
+import operator
 
 from ._record import Record
 from .errors import BudgetExceeded, NotDualContaining, SelfCheckFailed
@@ -99,13 +100,18 @@ def scan_dual_containing(
     is built once, for its distance, and the triples are combined from
     that table: K = 2(k1+k2+k3) - 3n, and d is the least distance over
     the components (the Lee distance of the ring code); ``_ordered_rows``
-    puts them in order.  Raises ``BudgetExceeded`` before any generator
-    is multiplied out when there are more than ``MAX_SCAN_ROWS`` triples.
+    puts them in order.  Each code is built trusted
+    (``TernaryPolyCode._trusted``), without the constructor's division:
+    the generators are products of the modulus's factors, and the chain
+    of systematic rows that each distance search starts from proves
+    every one of them a divisor, or raises ``SelfCheckFailed``.  Raises
+    ``BudgetExceeded`` before any generator is multiplied out when there
+    are more than ``MAX_SCAN_ROWS`` triples.
     """
     gens = _dual_containing_generators(n, sign)
     # The zero code never contains its dual (the full space), so every
-    # listed component has a distance.
-    codes = [TernaryPolyCode(n, sign, g) for g in gens]
+    # listed component has a distance, and level 1 of every search runs.
+    codes = [TernaryPolyCode._trusted(n, sign, g) for g in gens]
     return _ordered_rows(
         n, gens, [code.k for code in codes], [code.min_distance() for code in codes]
     )
@@ -201,15 +207,28 @@ def _dual_containing_generators(n: int, sign: ModulusSign) -> list[Z3Poly]:
             for p, q, mult in orbits
         ),
     )
-    gens = [Z3Poly([1])]
+    # the unit first, and no product taken with it
+    gens = [Z3Poly._from_masks(1, 0)]
     for p, q, mult in orbits:
-        if p == q:
-            choices = [p**e for e in range(mult // 2 + 1)]
-        else:
-            choices = [p**a * q**b for a in range(mult + 1) for b in range(mult + 1 - a)]
-        gens = [g * h for g in gens for h in choices]
+        choices = _orbit_choices(p, q, mult)
+        gens += choices + [g * h for g in gens[1:] for h in choices]
     gens.sort(key=Z3Poly.sort_key)
     return gens
+
+
+def _orbit_choices(p: Z3Poly, q: Z3Poly, mult: int) -> list[Z3Poly]:
+    """The exponents an orbit allows, but the unit: p^e for 1 <= e <=
+    mult/2 when p = q, else p^a q^b for 1 <= a + b <= mult.  Each is one
+    product from a smaller one: p^e = p^(e-1) p, p^a q^b = p^a q^(b-1) q."""
+    if p == q:
+        return list(itertools.accumulate(itertools.repeat(p, mult // 2), operator.mul))
+    choices = list(itertools.accumulate(itertools.repeat(q, mult), operator.mul))
+    powers = itertools.accumulate(itertools.repeat(p, mult), operator.mul)
+    for a, p_a in enumerate(powers, 1):
+        choices += itertools.accumulate(
+            itertools.repeat(q, mult - a), operator.mul, initial=p_a
+        )
+    return choices
 
 
 def _check_scan_size(n: int, m: int) -> None:

@@ -515,7 +515,10 @@ class GrayModule(Record):
     __slots__ = ("n", "_ones", "_twos")
 
     def __init__(self, rows, n: int):
-        ones, twos, pivots, _ = gf3linalg._reduced(np.reshape(rows, (-1, 3 * n)))
+        rows = np.asarray(rows)
+        if rows.shape[-1:] != (3 * n,):
+            raise LengthMismatch(f"expected Gray rows of length {3 * n}")
+        ones, twos, pivots, _ = gf3linalg._reduced(rows.reshape(-1, 3 * n))
         self._hold(ones[: len(pivots)], twos[: len(pivots)], n)
 
     def _hold(self, ones: list[int], twos: list[int], n: int) -> None:

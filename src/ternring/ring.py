@@ -90,7 +90,7 @@ class RingElement(Record):
     __slots__ = ("index",)
 
     def __new__(cls, a: int = 0, b: int = 0, c: int = 0) -> "RingElement":
-        return ELEMENTS[(a % 3) + 3 * (b % 3) + 9 * (c % 3)]
+        return element(a, b, c)
 
     def __reduce__(self):
         # unpickles to the interned instance
@@ -279,29 +279,36 @@ def parse_element(text: str) -> RingElement:
 # Both the commutative polynomial ring R[x] (rcodes) and the twisted
 # one R[x, theta] (skew) print and parse the same way, so the routines
 # live here; ternary polynomials (poly), whose coefficients 0, 1, 2
-# print like the ring's scalars, use the same printer.  Coefficient
+# print like the ring's scalars, feed their terms to the same layout,
+# ``_joined_terms``.  Coefficient
 # sequences are ascending, like everywhere else in the package.
 
 
 def format_ring_poly(coeffs) -> str:
     """Render ascending ring coefficients like ``(2v+2v^2)x^2+x+1``."""
-    terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        r = coeffs[i]
-        if not r:
-            continue
-        if i == 0:
-            terms.append(str(r))
+    return _joined_terms(
+        (i, str(coeffs[i])) for i in range(len(coeffs) - 1, -1, -1) if coeffs[i]
+    )
+
+
+def _joined_terms(terms) -> str:
+    """Lay out (exponent, coefficient text) pairs, highest exponent first
+    and coefficients nonzero, as ``(2v+2v^2)x^2+x+1``: a coefficient 1
+    is left off a power of x, a sum is bracketed, and no term prints
+    as ``0``."""
+    out = []
+    for i, s in terms:
+        if not i:
+            out.append(s)
             continue
         xpart = "x" if i == 1 else f"x^{i}"
-        s = str(r)
         if s == "1":
-            terms.append(xpart)
+            out.append(xpart)
         elif "+" in s:
-            terms.append(f"({s}){xpart}")
+            out.append(f"({s}){xpart}")
         else:
-            terms.append(s + xpart)
-    return "+".join(terms) if terms else "0"
+            out.append(s + xpart)
+    return "+".join(out) or "0"
 
 
 # Largest exponent the polynomial parsers accept: they build a dense

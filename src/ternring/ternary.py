@@ -52,7 +52,15 @@ MAX_DISTANCE_WORDS = 30_000_000
 
 
 class TernaryPolyCode(Record):
-    """An ideal of Z3[x]/(x^n - 1) or Z3[x]/(x^n + 1), as a linear code."""
+    """An ideal of Z3[x]/(x^n - 1) or Z3[x]/(x^n + 1), as a linear code.
+
+    The constructor takes any nonzero generator, makes it monic and
+    checks that it divides the modulus.  ``_trusted`` skips those steps
+    for a monic generator built from the modulus's own factors, as the
+    quantum scan's are: its divisibility is then proven by the chain of
+    ``_systematic_masks``, which ends in ``SelfCheckFailed`` for a
+    generator that does not divide, and which level 1 of every
+    ``min_distance`` runs."""
 
     __slots__ = ("n", "sign", "g", "k", "__weakref__")
 
@@ -65,10 +73,21 @@ class TernaryPolyCode(Record):
         m = modulus(n, sign)
         if not g.divides(m):
             raise NotADivisor(f"{g} does not divide {m}")
+        self._hold(n, sign, g)
+
+    def _hold(self, n: int, sign: ModulusSign, g: Z3Poly) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "k", n - g.degree)
+
+    @classmethod
+    def _trusted(cls, n: int, sign: ModulusSign, g: Z3Poly) -> "TernaryPolyCode":
+        """The code of a monic ``Z3Poly`` g of degree below n, unchecked
+        (see the class docstring)."""
+        code = cls.__new__(cls)
+        code._hold(n, sign, g)
+        return code
 
     def __repr__(self):
         return f"TernaryPolyCode(n={self.n}, sign={self.sign}, g={self.g}, k={self.k})"

@@ -24,6 +24,7 @@ from ternring import (
     parse_poly,
     poly,
 )
+from ternring.ring import format_ring_poly
 from ternring.errors import (
     BothZero,
     BudgetExceeded,
@@ -194,6 +195,12 @@ class TestTextForms:
         # the ascending bracket form, trailing zeros and all
         assert P("[" + ",".join(map(str, coeffs)) + "]") == f
 
+    @given(coefficient_lists)
+    def test_str_lays_out_the_coefficients(self, coeffs):
+        # read off the masks, as format_ring_poly reads the coefficients
+        f = Z3Poly(coeffs)
+        assert str(f) == format_ring_poly(f.coeffs)
+
     def test_str_examples(self):
         assert str(P("x^4+2x^3+x+1")) == "x^4+2x^3+x+1"
         assert str(Z3Poly(())) == "0"
@@ -215,6 +222,17 @@ class TestArithmetic:
     def test_char_three(self):
         assert P("x+1") + P("x+1") + P("x+1") == Z3Poly(())
         assert (P("x+1") ** 3) == P("x^3+1")
+
+    def test_power_is_repeated_product(self):
+        rng = random.Random(5)
+        polys = [Z3Poly(()), Z3Poly([2]), X, *(random_poly(rng, 5) for _ in range(10))]
+        for f in polys:
+            power = Z3Poly([1])
+            for k in range(21):
+                assert f**k == power, (f, k)
+                power = power * f
+        with pytest.raises(ValueError, match="negative"):
+            X ** -1
 
     def test_product_example(self):
         assert P("x+1") * P("x+2") == P("x^2+2")
@@ -728,6 +746,9 @@ class TestModulus:
         assert modulus(3, ModulusSign.MINUS) == P("x^3+1")
         assert modulus(3, ModulusSign.PLUS) == P("x^3+2")
         assert modulus(1, ModulusSign.PLUS) == P("x+2")
+        for n in range(1, 131):
+            assert modulus(n, ModulusSign.PLUS).coeffs == (2,) + (0,) * (n - 1) + (1,)
+            assert modulus(n, ModulusSign.MINUS).coeffs == (1,) + (0,) * (n - 1) + (1,)
 
     def test_wrap_constants(self):
         assert ModulusSign.PLUS.wrap == 1

@@ -7,7 +7,13 @@ import pytest
 
 from ternring import quantum
 from ternring.errors import BudgetExceeded, NotDualContaining, SelfCheckFailed, ZeroCode
-from ternring.poly import Factorization, ModulusSign, divisors_of_modulus, parse_poly
+from ternring.poly import (
+    Factorization,
+    ModulusSign,
+    Z3Poly,
+    divisors_of_modulus,
+    parse_poly,
+)
 from ternring.quantum import (
     EXPECTED_FLAGS,
     QuantumParams,
@@ -233,6 +239,7 @@ class TestScan:
 
         monkeypatch.setattr(TernaryPolyCode, "min_distance", no_distance)
         monkeypatch.setattr(TernaryPolyCode, "__init__", no_code)
+        monkeypatch.setattr(TernaryPolyCode, "_trusted", no_code)
         monkeypatch.setattr(quantum, "MAX_SCAN_ROWS", 219)
         with pytest.raises(BudgetExceeded, match="length 12 keeps 10 .* 220 triples"):
             scan_dual_containing(12, MINUS)
@@ -246,9 +253,41 @@ class TestScan:
         def reached(*args):
             raise Reached
 
-        monkeypatch.setattr(quantum, "TernaryPolyCode", reached)
+        monkeypatch.setattr(TernaryPolyCode, "_trusted", reached)
         with pytest.raises(Reached):
             scan_dual_containing(40, MINUS)
+
+    def test_scan_builds_codes_without_division(self, monkeypatch):
+        # the generators come from the modulus's factors, so no code is
+        # checked by the constructor and no polynomial is divided
+        expected = scan_dual_containing(12, MINUS)
+        calls = []
+
+        def spy(name, method):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+
+            return wrapped
+
+        for cls, name in (
+            (TernaryPolyCode, "__init__"), (Z3Poly, "divmod"), (Z3Poly, "__divmod__")
+        ):
+            monkeypatch.setattr(cls, name, spy(name, getattr(cls, name)))
+        assert scan_dual_containing(12, MINUS) == expected
+        assert calls == []
+
+    def test_scan_proves_every_generator_a_divisor(self, monkeypatch):
+        # x + 1 does not divide x^12 + 1: the chain of its systematic rows,
+        # run by its distance search, refuses it
+        listed = quantum._dual_containing_generators
+        monkeypatch.setattr(
+            quantum,
+            "_dual_containing_generators",
+            lambda n, sign: listed(n, sign) + [P("x+1")],
+        )
+        with pytest.raises(SelfCheckFailed, match=r"x\+1 does not divide x\^12\+1"):
+            scan_dual_containing(12, MINUS)
 
     def test_scan_restores_collector_state(self):
         # the collector is paused only while the rows are built, and a

@@ -531,6 +531,13 @@ class TestGrayModule:
             for b in d.basis_rvectors()[:5]:
                 assert ring_inner_product(a, b) is ZERO
 
+    def test_rows_of_another_width_are_refused(self):
+        # two width-6 rows are not cut into four Gray rows of length 3
+        for rows in ([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 1, 0]], [[1, 0, 0, 0, 1]]):
+            with pytest.raises(LengthMismatch, match="length 3"):
+                GrayModule(rows, 1)
+        assert GrayModule([[1, 0, 0], [0, 0, 1]], 1).rank == 2
+
     def test_dual_of_zero_is_full(self):
         z = GrayModule(np.zeros((0, 9), dtype=np.int8), 3)
         assert z.rank == 0

@@ -73,6 +73,9 @@ class TestElementBasics:
         assert scalar(2) is TWO
         assert element(0, 1, 0) == V
         assert hash(element(0, 0, 1)) == hash(V2)
+        for a, b, c in itertools.product(range(-3, 6), repeat=3):
+            assert RingElement(a, b, c) is element(a, b, c)
+            assert element(a, b, c).coeffs == (a % 3, b % 3, c % 3)
 
     def test_str_rendering(self):
         assert str(ZERO) == "0"

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from enum import Enum
 
 from . import gf3linalg
@@ -42,7 +41,7 @@ from .errors import (
     SelfCheckFailed,
     ZeroPolynomial,
 )
-from .ring import _check_exponent, _check_modulus_degree, _joined_terms
+from .ring import _check_modulus_degree, _joined_terms, _terms
 
 __all__ = [
     "Z3Poly",
@@ -299,39 +298,26 @@ def _divided(r1: int, r2: int, g1: int, g2: int) -> tuple[int, int, int, int]:
     return q1, q2, r1, r2
 
 
-_POLY_TERM = re.compile(r"^([12]?)(x(?:\^(\d+))?)?$")
-
-
 def parse_poly(text: str) -> Z3Poly:
-    """Parse ``x^4+2x^3+x+1``, ``2``, ``[1,0,2]`` (ascending), with '-' allowed."""
+    """Parse ``x^4+2x^3+x+1``, ``2``, ``[1,0,2]`` (ascending), with '-' allowed.
+
+    A term's coefficient is ``1``, ``2`` or none, or the whole term is
+    ``0``; bracketed coefficients and ``²`` are refused.  The terms are
+    cut by ``ring._terms``, as ``parse_ring_poly``'s are."""
     s = text.replace(" ", "")
     if s.startswith("[") and s.endswith("]"):
         body = s[1:-1]
         return Z3Poly(int(t) for t in body.split(",")) if body else Z3Poly()
-    if not s:
-        raise ValueError("empty polynomial")
+    if "²" in s:
+        raise ValueError(f"write x^2, not x², in {text!r}")
     coeffs: dict[int, int] = {}
-    terms = s.replace("-", "+-").split("+")
-    if s.startswith("-"):
-        terms = terms[1:]  # the split's empty piece before a leading '-'
-    for signed in terms:
-        if not signed:
-            raise ValueError(f"empty term in {text!r}")
-        sign = 1
-        term = signed
-        if term.startswith("-"):
-            sign, term = -1, term[1:]
-        if term == "0":
+    for negated, coef, power in _terms(s):
+        if coef == "0" and power is None:
             continue
-        m = _POLY_TERM.match(term)
-        if not m or (not m.group(1) and not m.group(2)):
-            raise ValueError(f"bad polynomial term: {signed!r}")
-        coef = int(m.group(1)) if m.group(1) else 1
-        if m.group(2) is None:
-            power = 0
-        else:
-            power = _check_exponent(int(m.group(3))) if m.group(3) else 1
-        coeffs[power] = coeffs.get(power, 0) + sign * coef
+        if coef not in (None, "1", "2"):
+            raise ValueError(f"bad polynomial coefficient: {coef!r} in {text!r}")
+        c, power = int(coef or 1), power or 0
+        coeffs[power] = coeffs.get(power, 0) + (-c if negated else c)
     deg = max(coeffs, default=-1)
     return Z3Poly(coeffs.get(i, 0) for i in range(deg + 1))
 

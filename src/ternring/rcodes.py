@@ -281,45 +281,42 @@ class RCode(Record):
         if any(c.n != n for c in components):
             raise LengthMismatch("components must share the code length")
         lam = _require_unit(lam)
-        if kind == "cyclic":
-            expected = (1, 1, 1)
-            lam = ONE
-        elif kind == "negacyclic":
-            expected = (2, 2, 2)
-            lam = scalar(-1)
-        else:
-            expected = lam.gray
+        if kind != "constacyclic":
+            lam = ONE if kind == "cyclic" else scalar(-1)
         signs = tuple(c.sign.wrap for c in components)
-        if signs != expected:
+        if signs != lam.gray:
             raise MixedModuli(
-                f"component moduli {signs} do not match the wrap constants {expected}"
+                f"component moduli {signs} do not match the wrap constants {lam.gray}"
             )
         self._set(n=n, kind=kind, lam=lam, components=components)
 
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def cyclic(cls, n: int, generators) -> "RCode":
+    def _built(cls, kind: str, n: int, lam, generators) -> "RCode":
+        """Component i generated by the i-th generator modulo x^n - 1 where
+        the i-th Gray coordinate of lam is 1, and x^n + 1 where it is 2."""
+        lam = _require_unit(lam)
+        generators = tuple(generators)
+        if len(generators) != 3:
+            raise ValueError("exactly three components required")
         comps = tuple(
-            TernaryPolyCode(n, ModulusSign.PLUS, g) for g in generators
+            TernaryPolyCode(n, ModulusSign.PLUS if t == 1 else ModulusSign.MINUS, g)
+            for t, g in zip(lam.gray, generators)
         )
-        return cls("cyclic", comps)
+        return cls(kind, comps, lam)
+
+    @classmethod
+    def cyclic(cls, n: int, generators) -> "RCode":
+        return cls._built("cyclic", n, ONE, generators)
 
     @classmethod
     def negacyclic(cls, n: int, generators) -> "RCode":
-        comps = tuple(
-            TernaryPolyCode(n, ModulusSign.MINUS, g) for g in generators
-        )
-        return cls("negacyclic", comps)
+        return cls._built("negacyclic", n, scalar(-1), generators)
 
     @classmethod
     def constacyclic(cls, n: int, lam, generators) -> "RCode":
-        lam = _require_unit(lam)
-        signs = [ModulusSign.PLUS if t == 1 else ModulusSign.MINUS for t in lam.gray]
-        comps = tuple(
-            TernaryPolyCode(n, sign, g) for sign, g in zip(signs, generators)
-        )
-        return cls("constacyclic", comps, lam)
+        return cls._built("constacyclic", n, lam, generators)
 
     @classmethod
     def from_sign(cls, n: int, sign: ModulusSign, generators) -> "RCode":

@@ -278,9 +278,9 @@ def parse_element(text: str) -> RingElement:
 #
 # Both the commutative polynomial ring R[x] (rcodes) and the twisted
 # one R[x, theta] (skew) print and parse the same way, so the routines
-# live here; ternary polynomials (poly), whose coefficients 0, 1, 2
-# print like the ring's scalars, feed their terms to the same layout,
-# ``_joined_terms``.  Coefficient
+# live here.  Ternary polynomials (poly) share them too: printing lays
+# out terms with ``_joined_terms``, reading cuts them with ``_terms``,
+# and each parser keeps only the coefficients it accepts.  Coefficient
 # sequences are ascending, like everywhere else in the package.
 
 
@@ -311,6 +311,32 @@ def _joined_terms(terms) -> str:
     return "+".join(out) or "0"
 
 
+# a bracketed or bare ring coefficient, or none, then a power of x or none
+_TERM = re.compile(r"(\([^()]+\)|[012]|2?v(?:\^2)?)?(x(?:\^(\d+))?)?$")
+
+
+def _terms(text: str):
+    """Yield the terms of polynomial text as (negated, coefficient text
+    or None, power or None where there is no x), in the order written; a
+    bracketed coefficient keeps its brackets.  Spaces are dropped, ``²``
+    reads as ``^2``, and the text is cut at each ``+`` or ``-`` outside
+    brackets; a leading ``-`` negates the first term.  An empty text or a
+    bad term raises ``ValueError``; exponents pass ``_check_exponent``."""
+    s = text.replace("²", "^2").replace(" ", "")
+    if not s:
+        raise ValueError("empty polynomial")
+    s = s if s.startswith("-") else "+" + s  # each term follows its sign
+    depths = itertools.accumulate((ch == "(") - (ch == ")") for ch in s)
+    cuts = [i for i, (ch, d) in enumerate(zip(s, depths)) if ch in "+-" and not d]
+    for a, b in zip(cuts, cuts[1:] + [len(s)]):
+        m = _TERM.match(s, a + 1, b)
+        if not m or not any(m.group(1, 2)):
+            raise ValueError(f"bad polynomial term {s[a + 1:b]!r} in {text!r}")
+        coef, x, digits = m.groups()
+        power = None if x is None else _check_exponent(int(digits)) if digits else 1
+        yield s[a] == "-", coef, power
+
+
 # Largest exponent the polynomial parsers accept: they build a dense
 # coefficient tuple up to the highest exponent, so a bound on it is a
 # bound on their memory.
@@ -335,52 +361,20 @@ def _check_modulus_degree(n: int) -> None:
         )
 
 
-_RPOLY_TERM = re.compile(
-    r"^(?:\(([^()]+)\)|((?:[2]?v(?:\^2)?)|[012]))?(x(?:\^(\d+))?)?$"
-)
-
-
 def parse_ring_poly(text: str) -> tuple[RingElement, ...]:
     """Parse ``(2v+2v^2)x^2+(1+2v+2v^2)x+1`` into ascending coefficients.
 
-    Returns a tuple with trailing zeros stripped; the zero polynomial
-    parses to the empty tuple.
+    A coefficient is bracketed ring text or a bare ``0``, ``1``, ``2``,
+    ``v``, ``2v``, ``v^2`` or ``2v^2``; ``²`` reads as ``^2`` and ``-`` is
+    refused.  Returns a tuple with trailing zeros stripped; the zero
+    polynomial parses to the empty tuple.
     """
-    s = text.replace("²", "^2").replace(" ", "")
-    if not s:
-        raise ValueError("empty polynomial")
-    if "-" in s:
-        raise ValueError("write additive inverses with coefficient 2, not '-'")
-    # split on '+' outside parentheses
-    parts, depth, cur = [], 0, []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "+" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
     coeffs: dict[int, RingElement] = {}
-    for part in parts:
-        if not part:
-            raise ValueError(f"empty term in {text!r}")
-        m = _RPOLY_TERM.match(part)
-        if not m or (m.group(1) is None and m.group(2) is None and m.group(3) is None):
-            raise ValueError(f"bad polynomial term: {part!r}")
-        if m.group(1) is not None:
-            coef = parse_element(m.group(1))
-        elif m.group(2) is not None:
-            coef = parse_element(m.group(2))
-        else:
-            coef = ONE
-        if m.group(3) is None:
-            power = 0
-        else:
-            power = 1 if m.group(4) is None else _check_exponent(int(m.group(4)))
+    for negated, coef, power in _terms(text):
+        if negated:
+            raise ValueError("write additive inverses with coefficient 2, not '-'")
+        power = power or 0
+        coef = ONE if coef is None else parse_element(coef.strip("()"))
         coeffs[power] = coeffs.get(power, ZERO) + coef
     deg = max((p for p, r in coeffs.items() if r), default=-1)
     return tuple(coeffs.get(i, ZERO) for i in range(deg + 1))

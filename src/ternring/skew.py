@@ -498,24 +498,27 @@ def hermitian_inner_product(a, b, s: int, lam) -> SkewPoly:
 # -- gcld -------------------------------------------------------------------
 
 
-def _right_gcd(a: SkewPoly, b: SkewPoly) -> SkewPoly:
-    while b:
-        _, r = skew_right_divmod(a, b)
-        a, b = b, r
-    return a.monic()
+def _right_gcd(polys) -> SkewPoly | None:
+    """Common divisor of the nonzero polys along the right-division
+    Euclidean chain from the first of them, made monic by each later
+    one, or None when all are zero: it right-divides every input, and
+    every common right divisor with unit leading coefficient divides it.
+    A non-unit leading coefficient raises ``NonUnitLeadingCoefficient``."""
+    nonzero = (p for p in polys if p)
+    g = next(nonzero, None)
+    for b in nonzero:
+        while b:
+            g, b = b, skew_right_divmod(g, b)[1]
+        g = g.monic()
+    return g
 
 
 def gcld(polys, s: int, lam) -> SkewPoly:
     """Monic common divisor of the given polynomials and x^s - lam along
-    the right-division Euclidean chain: it right-divides every input,
-    and every common right divisor with unit leading coefficient
-    right-divides it."""
+    the right-division Euclidean chain (``_right_gcd``), which starts at
+    x^s - lam."""
     polys = [SkewPoly(p) for p in polys]
-    g = power_minus_constant(s, lam)
-    for p in polys:
-        if p:
-            g = _right_gcd(g, p)
-    return g
+    return _right_gcd([power_minus_constant(s, lam), *polys])
 
 
 # -- one-generator quasi-twisted modules ------------------------------------
@@ -596,8 +599,9 @@ def one_generator_sqc(polys, s: int, l: int, lam) -> SkewQCModule:
 
     x^s - lam is built once, and serves the reduction of each input (run
     only on degree s or more), the divisibility test and the common
-    divisor: ``gcld(fs, s, lam)``, or None where its chain meets a
-    non-unit leading coefficient.  With l = 1 and one input, the build
+    divisor: ``gcld(fs, s, lam)``, read off the chain of ``_right_gcd``
+    from f_1 (x^s - lam when every f_j is zero), or None where that chain
+    meets a non-unit leading coefficient.  With l = 1 and one input, the build
     itself shows whether the generator divides (``_skew_module``), and no
     division tests it; otherwise each input is divided before the count
     of inputs is checked."""
@@ -622,25 +626,15 @@ def one_generator_sqc(polys, s: int, l: int, lam) -> SkewQCModule:
     fs = tuple(fs)
     if len(fs) != l:
         raise LengthMismatch(f"expected {l} polynomials, got {len(fs)}")
-    built = _skew_module(SkewQCModule, s, l, lam, fs, _divisor_chain(fs, m))
+    try:
+        # for right divisors of m, the chain from f_1 is the one from m
+        common = _right_gcd(fs) or m
+    except NonUnitLeadingCoefficient:
+        common = None
+    built = _skew_module(SkewQCModule, s, l, lam, fs, common)
     if built is None:
         raise NotRightDivisor(f"{fs[0]} does not right-divide x^{s}-({lam})")
     return built
-
-
-def _divisor_chain(divisors, m: SkewPoly) -> SkewPoly | None:
-    """``gcld`` of monic right divisors of m = x^s - lam, or None where
-    its chain meets a non-unit leading coefficient.  The chain of gcld
-    starts with the gcd of m and the first nonzero divisor, which is that
-    divisor, so this one starts there; with no nonzero divisor it is m."""
-    g = None
-    try:
-        for p in divisors:
-            if p:
-                g = p if g is None else _right_gcd(g, p)
-    except NonUnitLeadingCoefficient:
-        return None
-    return m if g is None else g
 
 
 @functools.lru_cache(maxsize=256)

@@ -312,6 +312,29 @@ class TestRCode:
         with pytest.raises(MixedModuli):
             RCode("cyclic", comps)
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_every_builder_takes_exactly_three_generators(self, count):
+        gens = [P("x+1")] * 3 + [P("x^2+x+1")]
+        builders = [
+            lambda g: RCode.cyclic(3, g),
+            lambda g: RCode.negacyclic(3, g),
+            lambda g: RCode.constacyclic(3, 2, g),
+            lambda g: RCode.constacyclic(3, E("1+v^2"), g),
+            lambda g: RCode.from_sign(3, PLUS, g),
+            lambda g: RCode.from_sign(3, MINUS, g),
+        ]
+        for build in builders:
+            with pytest.raises(ValueError, match="exactly three"):
+                build(gens[:count])
+            with pytest.raises(ValueError, match="exactly three"):
+                build([P("1")] * count)
+
+    def test_constacyclic_reads_each_modulus_off_lam(self):
+        # lam = 1+v^2 has Gray coordinates (1, 2, 2)
+        c = RCode.constacyclic(3, E("1+v^2"), [P("x+2"), P("x+1"), P("1")])
+        assert [comp.sign for comp in c.components] == [PLUS, MINUS, MINUS]
+        assert c.dims == (2, 2, 3)
+
     def test_component_length_mismatch_rejected(self):
         from ternring.ternary import TernaryPolyCode
 

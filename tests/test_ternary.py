@@ -416,6 +416,12 @@ class TestMinDistance:
                         refused += 1
         assert refused == 1040
 
+    def test_trusted_refuses_a_generator_above_the_length(self):
+        # k < 0 would leave min_distance no level, so no chain to check
+        with pytest.raises(SelfCheckFailed, match="does not divide"):
+            TernaryPolyCode._trusted(3, PLUS, P("x^4+1"))
+        assert TernaryPolyCode._trusted(3, PLUS, P("x^3+2")).k == 0
+
     def test_unknown_method(self):
         # one entry point: the former engines are oracles reached
         # directly, not through a method argument

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from enum import Enum
 
 from . import gf3linalg
@@ -303,11 +304,14 @@ def parse_poly(text: str) -> Z3Poly:
 
     A term's coefficient is ``1``, ``2`` or none, or the whole term is
     ``0``; bracketed coefficients and ``²`` are refused.  The terms are
-    cut by ``ring._terms``, as ``parse_ring_poly``'s are."""
+    cut by ``ring._terms``, as ``parse_ring_poly``'s are.  An entry of
+    ``[a,b,c]`` is an ASCII integer, not another spelling ``int`` reads."""
     s = text.replace(" ", "")
     if s.startswith("[") and s.endswith("]"):
-        body = s[1:-1]
-        return Z3Poly(int(t) for t in body.split(",")) if body else Z3Poly()
+        entries = s[1:-1].split(",") if s[1:-1] else []
+        if not all(re.fullmatch(r"[+-]?[0-9]+", t) for t in entries):
+            raise ValueError(f"bracket entries must be integers, in {text!r}")
+        return Z3Poly(map(int, entries))
     if "²" in s:
         raise ValueError(f"write x^2, not x², in {text!r}")
     coeffs: dict[int, int] = {}

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .gf3linalg import np
 from .poly import ModulusSign, Z3Poly, gcd, modulus
-from .ring import ONE, RingElement, ZERO, from_gray, scalar
+from .ring import ONE, RingElement, ZERO, _element, from_gray, scalar
 from .ternary import TernaryPolyCode
 
 __all__ = [
@@ -74,16 +74,8 @@ MAX_GRAY_ENTRIES = 10**8
 
 
 def as_rvector(entries) -> RVector:
-    """Normalize an iterable of ring elements / ints to a vector."""
-    out = []
-    for e in entries:
-        if isinstance(e, RingElement):
-            out.append(e)
-        elif isinstance(e, int):
-            out.append(scalar(e))
-        else:
-            raise TypeError(f"cannot place {e!r} in a ring vector")
-    return tuple(out)
+    """Normalize an iterable of ring elements / integers to a vector."""
+    return tuple(map(_element, entries))
 
 
 # -- Gray map on vectors -------------------------------------------------
@@ -146,9 +138,8 @@ def ring_inner_product(a, b) -> RingElement:
 # -- shift operators on ring vectors -------------------------------------
 
 
-def _require_unit(lam: RingElement) -> RingElement:
-    if not isinstance(lam, RingElement):
-        lam = scalar(lam)
+def _require_unit(lam) -> RingElement:
+    lam = _element(lam)
     if not lam.is_unit():
         raise NotAUnit(f"{lam} is not a unit")
     return lam
@@ -156,9 +147,7 @@ def _require_unit(lam: RingElement) -> RingElement:
 
 def constacyclic_shift(vec, lam) -> RVector:
     """(lam*c_{n-1}, c_0, ..., c_{n-2})."""
-    vec = as_rvector(vec)
-    lam = _require_unit(lam)
-    return (lam * vec[-1],) + vec[:-1]
+    return constacyclic_section_shift(vec, lam, 1)
 
 
 def cyclic_shift(vec) -> RVector:
@@ -185,7 +174,7 @@ def constacyclic_section_shift(vec, lam, l: int) -> RVector:
     """Rotate blocks of l symbols, multiplying the wrapped block by lam."""
     vec = as_rvector(vec)
     lam = _require_unit(lam)
-    if l < 1 or len(vec) % l:
+    if l < 1 or not vec or len(vec) % l:
         raise BadFactorization(f"length {len(vec)} is not a multiple of {l}")
     return tuple(lam * e for e in vec[-l:]) + vec[:-l]
 
@@ -197,9 +186,7 @@ def skew_cyclic_shift(vec) -> RVector:
 
 def skew_constacyclic_shift(vec, lam) -> RVector:
     """(theta(lam*c_{n-1}), theta(c_0), ..., theta(c_{n-2}))."""
-    vec = as_rvector(vec)
-    lam = _require_unit(lam)
-    return ((lam * vec[-1]).theta(),) + tuple(e.theta() for e in vec[:-1])
+    return skew_constacyclic_section_shift(vec, lam, 1)
 
 
 def skew_section_shift(vec, s: int, l: int) -> RVector:

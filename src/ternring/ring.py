@@ -26,6 +26,7 @@ equality is identity and all arithmetic is table lookup.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 
 from ._record import Record
@@ -215,8 +216,15 @@ def element(a: int = 0, b: int = 0, c: int = 0) -> RingElement:
 
 
 def scalar(t: int) -> RingElement:
-    """Embed an integer as the constant t mod 3."""
-    return ELEMENTS[t % 3]
+    """Embed an integer as the constant t mod 3; anything that is not an
+    integer (``operator.index``) raises ``TypeError``."""
+    return ELEMENTS[operator.index(t) % 3]
+
+
+def _element(value) -> RingElement:
+    """A ring element as given, or an integer as its constant: the one
+    coercion of a value to an element outside the arithmetic operators."""
+    return value if isinstance(value, RingElement) else scalar(value)
 
 
 def from_gray(coords) -> RingElement:
@@ -252,35 +260,14 @@ def ideals() -> tuple[frozenset[RingElement], ...]:
     return tuple(out)
 
 
-_ELEMENT_TERM = re.compile(r"^(?:([012])|([2])?v|([2])?v\^2)$")
-
-
-def parse_element(text: str) -> RingElement:
-    """Parse strings like ``1+2v+2v^2``, ``v``, ``2v^2`` or ``0``."""
-    s = text.replace("²", "^2").replace(" ", "")
-    if not s:
-        raise ValueError("empty ring element")
-    a = b = c = 0
-    for term in s.split("+"):
-        m = _ELEMENT_TERM.match(term)
-        if not m:
-            raise ValueError(f"bad ring element term: {term!r}")
-        if m.group(1) is not None:
-            a += int(m.group(1))
-        elif term.endswith("^2"):
-            c += int(m.group(3) or 1)
-        else:
-            b += int(m.group(2) or 1)
-    return element(a, b, c)
-
-
 # -- polynomials with ring coefficients: shared text helpers ---------
 #
 # Both the commutative polynomial ring R[x] (rcodes) and the twisted
 # one R[x, theta] (skew) print and parse the same way, so the routines
-# live here.  Ternary polynomials (poly) share them too: printing lays
-# out terms with ``_joined_terms``, reading cuts them with ``_terms``,
-# and each parser keeps only the coefficients it accepts.  Coefficient
+# live here.  Ternary polynomials (poly) and ring elements share them
+# too: printing lays out terms with ``_joined_terms``, reading cuts them
+# with ``_terms``, and each parser keeps only the terms it accepts
+# (``parse_element`` the bare coefficients without x).  Coefficient
 # sequences are ascending, like everywhere else in the package.
 
 
@@ -312,26 +299,28 @@ def _joined_terms(terms) -> str:
 
 
 # a bracketed or bare ring coefficient, or none, then a power of x or none
-_TERM = re.compile(r"(\([^()]+\)|[012]|2?v(?:\^2)?)?(x(?:\^(\d+))?)?$")
+_TERM = re.compile(r"(\([^()]+\)|[012]|2?v(?:\^2)?)?(x(?:\^(\d+))?)?")
 
 
 def _terms(text: str):
-    """Yield the terms of polynomial text as (negated, coefficient text
-    or None, power or None where there is no x), in the order written; a
-    bracketed coefficient keeps its brackets.  Spaces are dropped, ``²``
-    reads as ``^2``, and the text is cut at each ``+`` or ``-`` outside
-    brackets; a leading ``-`` negates the first term.  An empty text or a
-    bad term raises ``ValueError``; exponents pass ``_check_exponent``."""
+    """Yield the terms of polynomial or ring-element text as (negated,
+    coefficient text or None, power or None where there is no x), in the
+    order written; a bracketed coefficient keeps its brackets.  Spaces
+    are dropped, ``²`` reads as ``^2``, and the text is cut at each ``+``
+    or ``-`` outside brackets; a leading ``-`` negates the first term.
+    Each term must match ``_TERM`` whole, so no text with a newline
+    parses.  An empty text or a bad term raises ``ValueError``; exponents
+    pass ``_check_exponent``."""
     s = text.replace("²", "^2").replace(" ", "")
     if not s:
-        raise ValueError("empty polynomial")
+        raise ValueError("empty text")
     s = s if s.startswith("-") else "+" + s  # each term follows its sign
     depths = itertools.accumulate((ch == "(") - (ch == ")") for ch in s)
     cuts = [i for i, (ch, d) in enumerate(zip(s, depths)) if ch in "+-" and not d]
     for a, b in zip(cuts, cuts[1:] + [len(s)]):
-        m = _TERM.match(s, a + 1, b)
+        m = _TERM.fullmatch(s, a + 1, b)
         if not m or not any(m.group(1, 2)):
-            raise ValueError(f"bad polynomial term {s[a + 1:b]!r} in {text!r}")
+            raise ValueError(f"bad term {s[a + 1:b]!r} in {text!r}")
         coef, x, digits = m.groups()
         power = None if x is None else _check_exponent(int(digits)) if digits else 1
         yield s[a] == "-", coef, power
@@ -359,6 +348,18 @@ def _check_modulus_degree(n: int) -> None:
         raise BudgetExceeded(
             f"a modulus of degree {n} is above the budget of {MAX_PARSED_EXPONENT}"
         )
+
+
+def parse_element(text: str) -> RingElement:
+    """Parse strings like ``1+2v+2v^2``, ``v``, ``2v^2`` or ``0``: terms
+    read by ``_terms``, each a bare coefficient without x or ``-``."""
+    abc = [0, 0, 0]
+    for negated, coef, power in _terms(text):
+        if negated or power is not None or coef.startswith("("):
+            raise ValueError(f"bad ring element term in {text!r}")
+        # the term's power of v (1, v or v^2), times its digit or 1
+        abc[("v" in coef) + coef.endswith("^2")] += int(coef.partition("v")[0] or 1)
+    return element(*abc)
 
 
 def parse_ring_poly(text: str) -> tuple[RingElement, ...]:

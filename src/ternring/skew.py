@@ -44,10 +44,10 @@ from .ring import (
     RingElement,
     ZERO,
     _check_modulus_degree,
+    _element,
     format_ring_poly,
     from_gray,
     parse_ring_poly,
-    scalar,
 )
 
 __all__ = [
@@ -95,10 +95,6 @@ def _require_module_length(n: int) -> None:
         )
 
 
-def _as_element(value) -> RingElement:
-    return value if isinstance(value, RingElement) else scalar(value)
-
-
 class SkewPoly(Record):
     """Immutable skew polynomial; coefficients ascending, multiplication
     twisted by the automorphism."""
@@ -108,7 +104,7 @@ class SkewPoly(Record):
     def __init__(self, coeffs=()):
         if isinstance(coeffs, SkewPoly):
             coeffs = coeffs.coeffs
-        coeffs = [_as_element(c) for c in coeffs]
+        coeffs = [_element(c) for c in coeffs]
         while coeffs and coeffs[-1] is ZERO:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -218,7 +214,7 @@ class SkewPoly(Record):
 
     @classmethod
     def x_power(cls, k: int, c=ONE) -> "SkewPoly":
-        return cls([ZERO] * k + [_as_element(c)])
+        return cls([ZERO] * k + [_element(c)])
 
 
 def parse_skew_poly(text: str) -> SkewPoly:
@@ -228,7 +224,7 @@ def parse_skew_poly(text: str) -> SkewPoly:
 def power_minus_constant(n: int, lam) -> SkewPoly:
     """x^n - lam; n is checked by ``ring._check_modulus_degree``."""
     _check_modulus_degree(n)
-    lam = _as_element(lam)
+    lam = _element(lam)
     return SkewPoly([-lam] + [ZERO] * (n - 1) + [ONE])
 
 
@@ -451,7 +447,8 @@ def polys_to_vector(polys, s: int, l: int):
 def hermitian_conjugate(p: SkewPoly, s: int, lam) -> SkewPoly:
     """Conjugation reversing x-powers modulo x^s - lam.
 
-    p is first reduced to its right remainder modulo x^s - lam (built by
+    lam must be a unit (``NotAUnit``), as for the pairing.  p is first
+    reduced to its right remainder modulo x^s - lam (built by
     ``power_minus_constant``, which refuses s < 1).  Then the term c x^k
     maps to theta^k(c) w_k x^{(s-k) mod s} with wrap constants
     w_0 = theta(lam), w_k = 1 for odd k, and w_k = lam theta(lam) for
@@ -462,7 +459,7 @@ def hermitian_conjugate(p: SkewPoly, s: int, lam) -> SkewPoly:
     twisted sectioned shift applied 1..s times.  When lam is fixed by
     the automorphism every w_k is then a unit multiple of lam^k and the
     shift window 1..s is equivalent to 0..s-1."""
-    lam = _as_element(lam)
+    lam = _require_unit(lam)
     p = skew_right_divmod(p, power_minus_constant(s, lam))[1]
     tl = lam.theta()
     w_even = lam * tl

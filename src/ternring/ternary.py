@@ -84,11 +84,12 @@ class TernaryPolyCode(Record):
     @classmethod
     def _trusted(cls, n: int, sign: ModulusSign, g: Z3Poly) -> "TernaryPolyCode":
         """The code of a monic ``Z3Poly`` g of degree below n, unchecked
-        (see the class docstring) but for its degree: above n, k < 0
-        would leave ``min_distance`` no level to run the chain's check."""
+        (see the class docstring) but for its degree: at n or above, k < 1
+        would leave ``min_distance`` no level to run the chain's check, so
+        only the modulus itself, the zero code, is held there."""
         code = cls.__new__(cls)
         code._hold(n, sign, g)
-        if code.k < 0:
+        if code.k < 1 and g != code.modulus:
             raise SelfCheckFailed(f"{g} does not divide {code.modulus}")
         return code
 

@@ -541,6 +541,24 @@ class TestUsage:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("skew", "divisors", "--s", "2", "--lambda", "1+2v+2v^2\n"),
+            ("skew", "code", "--n", "3", "--f", "x+2\n"),
+            ("constacyclic", "transport", "--n", "3", "--lambda", "2",
+             "--f1", "x+2", "--f2", "[1\n]", "--f3", "x+2"),
+        ],
+    )
+    def test_text_with_a_newline_is_a_usage_error(self, argv):
+        # the old element reader took "1+2v+2v^2\n" for 1 and listed the
+        # 6 divisors of x^2 - 1
+        proc = run_module("--json", *argv)
+        assert proc.returncode == 2
+        assert "error: argument" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_zero_skew_generator_exits_one_without_traceback(self):
         proc = run_module("--json", "skew", "code", "--n", "3", "--f", "0")
         assert proc.returncode == 1

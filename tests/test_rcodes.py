@@ -128,6 +128,25 @@ class TestShiftOperators:
         out = constacyclic_section_shift(v, lam, 2)
         assert out == (E("2v"), E("2v^2"), E("1"), E("2"))
 
+    @pytest.mark.parametrize(
+        "shift",
+        [
+            cyclic_shift,
+            negacyclic_shift,
+            skew_cyclic_shift,
+            lambda v: constacyclic_shift(v, 1),
+            lambda v: skew_constacyclic_shift(v, 1),
+            lambda v: section_shift(v, 1, 1),
+            lambda v: skew_section_shift(v, 1, 1),
+            lambda v: constacyclic_section_shift(v, 1, 1),
+            lambda v: skew_constacyclic_section_shift(v, 1, 1),
+            lambda v: gray_shift(len(v)),
+        ],
+    )
+    def test_length_zero_is_refused_on_both_sides(self, shift):
+        with pytest.raises(BadFactorization):
+            shift(())
+
     def test_orbit_order(self):
         # applying the lam-constacyclic shift n times multiplies by lam;
         # every unit squares to one, so 2n applications restore the vector

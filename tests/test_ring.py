@@ -93,7 +93,8 @@ class TestElementBasics:
         assert parse_element("1+2v+2v²") == element(1, 2, 2)
 
     def test_parse_rejects_garbage(self):
-        for bad in ["", "w", "v^3", "1-v", "3v", "+", "1++v"]:
+        for bad in ["", "w", "v^3", "1-v", "3v", "+", "1++v", "-1", "x", "(1)",
+                    "1+(v)"]:
             with pytest.raises(ValueError):
                 parse_element(bad)
 

@@ -45,6 +45,7 @@ from ternring.ring import (
     IDEMPOTENTS,
     ONE,
     THETA_FIXED_UNITS,
+    TWO,
     UNITS,
     V,
     ZERO,
@@ -133,6 +134,37 @@ def random_unit_lead(rng, deg):
     return SkewPoly(
         [rng.choice(ELEMENTS) for _ in range(deg)] + [rng.choice(UNITS)]
     )
+
+
+class TestElementValues:
+    """Every value that becomes a ring element goes through
+    ``ring._element``: an element as given, an integer of any type as
+    its constant, anything else a ``TypeError``."""
+
+    @staticmethod
+    def readers(value):
+        rows = np.array([[1, 0, 2, 1, 1, 0]])  # the Gray image of a length-2 vector
+        return (
+            as_rvector([value]),
+            SkewPoly([value, 1]),
+            gray_shift(2, value)(rows).tolist(),
+            power_minus_constant(2, value),
+        )
+
+    def test_integers_of_any_type(self):
+        for value, elem in ((np.int64(2), TWO), (True, ONE), (np.int8(-1), TWO)):
+            assert self.readers(value) == self.readers(elem)
+
+    @pytest.mark.parametrize("value", [1.5, "v", None, np.float64(1.0)])
+    def test_anything_else_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            as_rvector([value])
+        with pytest.raises(TypeError):
+            SkewPoly([value])
+        with pytest.raises(TypeError):
+            gray_shift(2, value)
+        with pytest.raises(TypeError):
+            power_minus_constant(2, value)
 
 
 class TestArithmetic:
@@ -759,8 +791,11 @@ class TestHermitianPairing:
         assert hermitian_conjugate(P("vx"), 2, 1) == P("2vx")
         assert hermitian_conjugate(P("v"), 2, 1) == P("v")
         # constant term picks up the twisted wrap constant
-        lam = E("1+v")  # not fixed by the automorphism
+        lam = E("1+v+2v^2")  # a unit not fixed by the automorphism
         assert hermitian_conjugate(P("1"), 2, lam) == SkewPoly([lam.theta()])
+        # a non-unit is refused, as by the pairing
+        with pytest.raises(NotAUnit):
+            hermitian_conjugate(P("1"), 2, E("1+v"))
 
     def test_conjugate_additive(self):
         rng = random.Random(5)

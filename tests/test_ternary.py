@@ -422,6 +422,13 @@ class TestMinDistance:
             TernaryPolyCode._trusted(3, PLUS, P("x^4+1"))
         assert TernaryPolyCode._trusted(3, PLUS, P("x^3+2")).k == 0
 
+    def test_trusted_refuses_a_generator_of_the_length_but_the_modulus(self):
+        # k = 0 leaves min_distance no level too: only x^n -+ 1 is held
+        for sign, g in ((PLUS, "x^3+x+1"), (PLUS, "x^3+1"), (MINUS, "x^3+2")):
+            with pytest.raises(SelfCheckFailed, match="does not divide"):
+                TernaryPolyCode._trusted(3, sign, P(g))
+        assert TernaryPolyCode._trusted(3, MINUS, P("x^3+1")).is_zero
+
     def test_unknown_method(self):
         # one entry point: the former engines are oracles reached
         # directly, not through a method argument

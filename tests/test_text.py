@@ -1,10 +1,14 @@
-"""Polynomial text: ``parse_poly`` and ``parse_ring_poly`` read their
-terms through one scanner, ``ring._terms``.
+"""Polynomial and ring-element text: ``parse_poly``, ``parse_ring_poly``
+and ``parse_element`` read their terms through one scanner,
+``ring._terms``.
 
-The two hand-written parsers they replaced are kept below, verbatim, as
+The three hand-written parsers they replaced are kept below, verbatim, as
 oracles: on every short string over the symbols of the notation, and on
 random strings of tokens, each parser accepts exactly what its oracle
 accepts, with the same value, and refuses the rest with ``ValueError``.
+The oracles also read a term that ends in a newline (their patterns end
+in ``$``); the scanner matches each term whole, so no text with a
+newline parses.
 """
 
 import itertools
@@ -20,11 +24,34 @@ from ternring.ring import (
     ZERO,
     RingElement,
     _check_exponent,
+    element,
     parse_element,
     parse_ring_poly,
 )
 
-# -- the oracles: the two parsers as they were, each with its own split --
+# -- the oracles: the three parsers as they were, each with its own split --
+
+_ELEMENT_TERM = re.compile(r"^(?:([012])|([2])?v|([2])?v\^2)$")
+
+
+def oracle_parse_element(text: str) -> RingElement:
+    """Parse strings like ``1+2v+2v^2``, ``v``, ``2v^2`` or ``0``."""
+    s = text.replace("²", "^2").replace(" ", "")
+    if not s:
+        raise ValueError("empty ring element")
+    a = b = c = 0
+    for term in s.split("+"):
+        m = _ELEMENT_TERM.match(term)
+        if not m:
+            raise ValueError(f"bad ring element term: {term!r}")
+        if m.group(1) is not None:
+            a += int(m.group(1))
+        elif term.endswith("^2"):
+            c += int(m.group(3) or 1)
+        else:
+            b += int(m.group(2) or 1)
+    return element(a, b, c)
+
 
 _POLY_TERM = re.compile(r"^([12]?)(x(?:\^(\d+))?)?$")
 
@@ -100,9 +127,9 @@ def oracle_parse_ring_poly(text: str) -> tuple[RingElement, ...]:
         if not m or (m.group(1) is None and m.group(2) is None and m.group(3) is None):
             raise ValueError(f"bad polynomial term: {part!r}")
         if m.group(1) is not None:
-            coef = parse_element(m.group(1))
+            coef = oracle_parse_element(m.group(1))
         elif m.group(2) is not None:
-            coef = parse_element(m.group(2))
+            coef = oracle_parse_element(m.group(2))
         else:
             coef = ONE
         if m.group(3) is None:
@@ -190,3 +217,62 @@ def test_parse_ring_poly_accepts():
 def test_both_refuse(parse, text):
     with pytest.raises(ValueError):
         parse(text)
+
+
+# -- ring-element text ---------------------------------------------------
+
+# the symbols of the notation, the tab included
+ELEMENT_ALPHABET = "012v^+-()²x [,]\t"
+
+
+def test_every_short_string_reads_as_the_same_element():
+    strings = (
+        "".join(t)
+        for k in range(5)
+        for t in itertools.product(ELEMENT_ALPHABET, repeat=k)
+    )
+    count = accepted = 0
+    for text in strings:
+        count += 1
+        got = outcome(parse_element, text)
+        assert got == outcome(oracle_parse_element, text), text
+        accepted += got is not ValueError
+    assert count == 69905
+    assert accepted == 167  # the comparison reaches the accepting path
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=7))
+def test_token_strings_read_as_the_same_element(tokens):
+    text = "".join(tokens)
+    assert outcome(parse_element, text) == outcome(oracle_parse_element, text), text
+
+
+# -- newlines ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("parse", [parse_element, parse_poly, parse_ring_poly])
+@pytest.mark.parametrize(
+    "text", ["1\n", "v^2\n", "1+2v+2v^2\n", "\n", "x\n", "x\n+1", "1\n+x", "[1\n]"]
+)
+def test_no_text_with_a_newline_parses(parse, text):
+    with pytest.raises(ValueError):
+        parse(text)
+
+
+# -- the entries of [a,b,c] --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text", ["[1_0]", "[1\n]", "[١]", "[１]", "[1,]", "[+]", "[0x1]", "[1.0]"]
+)
+def test_bracket_entries_other_than_ascii_integers_are_refused(text):
+    with pytest.raises(ValueError):
+        parse_poly(text)
+
+
+def test_bracket_entries_that_are_ascii_integers_keep_their_values():
+    assert parse_poly("[+1,-1]") == Z3Poly([1, 2])
+    assert parse_poly("[10]") == Z3Poly([1])
+    assert parse_poly("[1, 0, 2]") == Z3Poly([1, 0, 2])
+    assert parse_poly("[]") == Z3Poly()

@@ -299,7 +299,7 @@ def _joined_terms(terms) -> str:
 
 
 # a bracketed or bare ring coefficient, or none, then a power of x or none
-_TERM = re.compile(r"(\([^()]+\)|[012]|2?v(?:\^2)?)?(x(?:\^(\d+))?)?")
+_TERM = re.compile(r"(\([^()]+\)|[012]|2?v(?:\^2)?)?(x(?:\^([0-9]+))?)?")
 
 
 def _terms(text: str):
@@ -309,8 +309,8 @@ def _terms(text: str):
     are dropped, ``²`` reads as ``^2``, and the text is cut at each ``+``
     or ``-`` outside brackets; a leading ``-`` negates the first term.
     Each term must match ``_TERM`` whole, so no text with a newline
-    parses.  An empty text or a bad term raises ``ValueError``; exponents
-    pass ``_check_exponent``."""
+    parses, and exponents are ASCII digits.  An empty text or a bad
+    term raises ``ValueError``; exponents pass ``_check_exponent``."""
     s = text.replace("²", "^2").replace(" ", "")
     if not s:
         raise ValueError("empty text")

@@ -4,6 +4,7 @@ codes, JSON payloads, and byte-level determinism."""
 import contextlib
 import gc
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -19,9 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ternring
-from ternring import cli, ternary
+from ternring import cli, rcodes, ring, ternary
 from ternring.cli import SELFTEST_EXPECTED_FLAGS, main
-from ternring.quantum import ReferenceRow, verify_reference_table
+from ternring.poly import ModulusSign
+from ternring.quantum import (
+    EXPECTED_FLAGS,
+    REFERENCE_TABLE,
+    ReferenceRow,
+    verify_reference_table,
+)
 
 
 def run_cli(*argv):
@@ -481,6 +488,132 @@ class TestSelftest:
         assert "0 failures" in out
 
 
+# The fields of every row of verify_reference_table(): label, n, sign,
+# canonical generators, expected, derived parameters, status, flag id
+# and notes.
+REFERENCE_ROWS = [
+    ("[[18,6,2]]", 6, ModulusSign.PLUS, ("x^2+2", "x^2+2", "x^2+2"),
+     (18, 6, 2), (18, 6, 2), "ok", None, ()),
+    ("[[36,18,2]]", 12, ModulusSign.PLUS, ("x^3+x^2+x+1",) * 3,
+     (36, 18, 2), (36, 18, 2), "ok", None, ()),
+    ("[[81,45,2]]", 27, ModulusSign.PLUS, ("x^6+x^3+1",) * 3,
+     (81, 45, 2), (81, 45, 2), "ok", None, ()),
+    ("[[90,66,2]]", 30, ModulusSign.PLUS,
+     ("x^4+x^3+x^2+x+1", "x^4+2x^3+x^2+2x+1", "x^4+x^3+x^2+x+1"),
+     (90, 66, 2), (90, 66, 2), "ok", None, ()),
+    ("[[9,3,2]]", 3, ModulusSign.MINUS, ("x+1",) * 3,
+     (9, 3, 2), (9, 3, 2), "ok", None, ()),
+    ("[[30,6,4]]", 10, ModulusSign.MINUS,
+     ("x^4+x^3+2x+1", "x^4+2x^3+x+1", "x^4+2x^3+x+1"),
+     (30, 6, 4), (30, 6, 4), "ok", None, ()),
+    ("[[36,24,2]]", 12, ModulusSign.MINUS, ("x^2+x+2", "x^2+2x+2", "x^2+2x+2"),
+     (36, 24, 2), (36, 24, 2), "ok", None, ()),
+    ("[[24,12,2]] (claimed)", 8, ModulusSign.PLUS, ("x^2+1",) * 3,
+     None, None, "flag", "cyclic-n8-dual-containment",
+     ("components 1, 2, 3 do not contain their dual: f * reciprocal(f) "
+      "does not divide the modulus, so the CSS construction does not apply",)),
+]
+
+# sha256 of the arguments of every _gray_masks and gray_shift call made
+# by ``selftest paper`` at seeds 0 and 99, in call order; taken when each
+# shift family drew its own inputs, so the suite table must read the rng
+# in that order
+DRAWS_DIGESTS = {
+    0: "b6df46cc2efcd0eae1332bdcc46f84a6b6cef758b6793d190aabd31bebef8064",
+    99: "7d05ddc56489ab77750854f9cd6b771af536c6c0041c863ca21adf4ba86b495c",
+}
+
+GRAY_SHIFT = inspect.signature(rcodes.gray_shift)
+
+
+class TestPaperChecks:
+    def _failing_items(self):
+        code, doc, _ = run_json("selftest", "paper")
+        failing = [i["name"] for i in doc["payload"] if i["status"] == "fail"]
+        return code, failing, doc
+
+    @pytest.mark.parametrize("seed", sorted(DRAWS_DIGESTS))
+    def test_draws_are_pinned(self, monkeypatch, seed):
+        # element indices for vectors; n, lam, l and twist for the maps,
+        # read with gray_shift's keyword defaults, so the record is the
+        # rng's order of draws and not the spelling of the calls
+        record = []
+
+        def masks(vec):
+            record.append(("masks", tuple(e.index for e in vec)))
+            return rcodes._gray_masks(vec)
+
+        def shift(*args, **kwargs):
+            bound = GRAY_SHIFT.bind(*args, **kwargs)
+            bound.apply_defaults()
+            n, lam, l, twist = bound.args
+            record.append(("shift", n, ring._element(lam).index, l, bool(twist)))
+            return rcodes.gray_shift(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_gray_masks", masks)
+        monkeypatch.setattr(cli, "gray_shift", shift)
+        code, out, _ = run_cli("--seed", str(seed), "selftest", "paper")
+        assert code == 0 and "0 failures" in out
+        assert len(record) == 200 + 4 * 3 * 200
+        digest = hashlib.sha256(repr(record).encode()).hexdigest()
+        assert digest == DRAWS_DIGESTS[seed]
+
+    @pytest.mark.parametrize(
+        "function, suite",
+        [
+            ("cyclic_shift", "cyclic-diagram"),
+            ("section_shift", "section-diagram"),
+            ("skew_cyclic_shift", "twisted-diagram"),
+            ("constacyclic_shift", "constacyclic-diagram"),
+        ],
+    )
+    def test_a_wrong_shift_fails_only_its_suite(self, monkeypatch, function, suite):
+        monkeypatch.setattr(cli, function, lambda vec, *rest: tuple(vec))
+        code, failing, _ = self._failing_items()
+        assert code == 1
+        assert failing == [suite]
+
+    def test_reference_rows_are_pinned(self):
+        rows = [
+            (row.label, row.n, row.sign, row.generators, row.expected,
+             row.params.as_tuple() if row.params else None, row.status,
+             row.flag_id, row.notes)
+            for row in verify_reference_table()
+        ]
+        assert rows == REFERENCE_ROWS
+
+    def test_expected_flags_are_the_table_column(self):
+        column = tuple(flag for *_, flag in REFERENCE_TABLE if flag is not None)
+        assert EXPECTED_FLAGS == column
+        assert set(SELFTEST_EXPECTED_FLAGS) == {*cli.DOCUMENTED_FLAGS, *column}
+
+    def test_wrong_dual_generator_fails_only_its_length(self, monkeypatch):
+        checks = [
+            (n, texts, log3, "x+1" if dual else dual)
+            for n, texts, log3, dual in cli.CARDINALITY_CHECKS
+        ]
+        monkeypatch.setattr(cli, "CARDINALITY_CHECKS", checks)
+        code, failing, doc = self._failing_items()
+        assert code == 1
+        assert doc["status"] == "error"
+        assert failing == ["cardinality-length-10"]
+        (item,) = [i for i in doc["payload"] if i["name"] in failing]
+        assert item["detail"] == (
+            "|C| = 3^20, dual generator "
+            "(1+2v^2)x^8+(2+2v^2)x^6+vx^5+x^4+(2+2v^2)x^2+2vx+1"
+        )
+
+    def test_wrong_cardinality_fails_only_its_length(self, monkeypatch):
+        checks = [
+            (n, texts, log3 + (n == 3), dual)
+            for n, texts, log3, dual in cli.CARDINALITY_CHECKS
+        ]
+        monkeypatch.setattr(cli, "CARDINALITY_CHECKS", checks)
+        code, failing, _ = self._failing_items()
+        assert code == 1
+        assert failing == ["cardinality-length-3"]
+
+
 HUGE = str(10**9)
 ONES = ("--f1", "1", "--f2", "1", "--f3", "1")
 
@@ -532,6 +665,11 @@ class TestUsage:
             ("skew", "code", "--n", "3", "--f", "x^2000000000"),
             ("code", "build", "--n", "4", "--sign", "pos",
              "--f1", "x^2000000000", "--f2", "1", "--f3", "1"),
+            # exponents in Arabic-Indic or fullwidth digits; the first
+            # built f1 = x+2 and exited 0
+            ("code", "build", "--n", "3", "--sign", "pos",
+             "--f1", "x^\u0661+2", "--f2", "1", "--f3", "1"),
+            ("skew", "gcld", "--s", "2", "--lambda", "1", "x^\uff12+1"),
         ],
     )
     def test_malformed_text_exits_two_without_traceback(self, argv):
@@ -540,6 +678,46 @@ class TestUsage:
         assert "error: argument" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("factor", "--n", "1_0", "--sign", "pos"),
+            ("factor", "--n", "\uff11\uff12", "--sign", "pos"),  # fullwidth 12
+            ("factor", "--n", "\u0663", "--sign", "pos"),  # Arabic-Indic 3
+            ("factor", "--n", " 7", "--sign", "pos"),
+            ("factor", "--n", "7\n", "--sign", "pos"),
+            ("factor", "--n", "", "--sign", "pos"),
+            ("skew", "divisors", "--s", "\u0662", "--lambda", "1"),
+            ("quantum", "scan", "--n", "4", "--sign", "neg", "--limit", "\u0662"),
+            ("--seed", "1_0", "selftest", "paper"),
+            ("--seed", "\u0663", "selftest", "paper"),
+            ("--seed", "abc", "selftest", "paper"),
+        ],
+    )
+    def test_integers_other_than_ascii_decimals_are_usage_errors(self, argv):
+        # int() reads all of these: --n 1_0 factored x^10 - 1, --limit
+        # in Arabic-Indic 2 kept 2 rows and --seed 1_0 seeded 10
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as stop:
+            main(["--json", *argv])
+        assert stop.value.code == 2
+        assert "invalid integer" in err.getvalue()
+
+    def test_signed_ascii_integers_keep_their_values(self):
+        assert run_cli("factor", "--n", "+7", "--sign", "pos") == run_cli(
+            "factor", "--n", "7", "--sign", "pos"
+        )
+        assert run_cli("--seed", "+5", "selftest", "paper") == run_cli(
+            "--seed", "5", "selftest", "paper"
+        )
+        code, out, _ = run_cli("--seed", "-3", "selftest", "paper")
+        assert code == 0 and "0 failures" in out
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as stop:
+            main(["factor", "--n", "-1", "--sign", "pos"])
+        assert stop.value.code == 2
+        assert "must be at least 1, got -1" in err.getvalue()
 
     @pytest.mark.parametrize(
         "argv",

@@ -213,7 +213,15 @@ def test_parse_ring_poly_accepts():
 
 
 @pytest.mark.parametrize("parse", [parse_poly, parse_ring_poly])
-@pytest.mark.parametrize("text", ["", "+x", "x++1", "x+-1", "x^", "x-"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", "+x", "x++1", "x+-1", "x^", "x-",
+        # exponents in Arabic-Indic or fullwidth digits: "\d" read
+        # x^<Arabic-Indic 1> as x and x^<fullwidth 12> as x^12
+        "x^\u0661", "x^\u0663", "x^\uff11\uff12", "2x^\u0663+1", "x^1\u0661",
+    ],
+)
 def test_both_refuse(parse, text):
     with pytest.raises(ValueError):
         parse(text)

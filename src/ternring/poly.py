@@ -259,13 +259,14 @@ class Z3Poly(Record):
     # -- text ------------------------------------------------------------
 
     def __str__(self) -> str:
-        # the terms read off the masks, the top set bit first
-        ones, rest, terms = self.ones, self.ones | self.twos, []
-        while rest:
-            i = rest.bit_length() - 1
-            rest ^= 1 << i
-            terms.append((i, "1" if ones >> i & 1 else "2"))
-        return _joined_terms(terms)
+        # the terms read off the masks' binary digits in one pass, the top
+        # one first (clearing one bit of an int per term is quadratic)
+        rest = f"{self.ones | self.twos:b}"
+        digits = f"{self.ones:0{len(rest)}b}".replace("0", "2")
+        top = len(rest) - 1
+        return _joined_terms(
+            [(top - i, digits[i]) for i, bit in enumerate(rest) if bit == "1"]
+        )
 
     def __repr__(self) -> str:
         return f"Z3Poly({self})"

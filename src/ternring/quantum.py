@@ -7,8 +7,9 @@ dimension exponent K = 2(k1+k2+k3) - 3n and reported distance equal to
 the Lee distance of the ring code.  This module checks containment,
 derives parameters, scans a length exhaustively for all admissible
 component triples, and reproduces a frozen reference table of known
-constructions.  The scan orders its rows in one stable pass over their
-runs of equal (K, d), on Python lists, without numpy.
+constructions.  The scan orders its rows by distribution into runs of
+equal (K, d), one segment per generator and run, and makes each row
+once, in its final place, on Python lists, without numpy.
 
 A ternary component with generator g contains its dual exactly when
 g * g* divides the modulus x^n -+ 1, g* being the monic reciprocal of
@@ -21,9 +22,9 @@ e_j + e_sigma(j) <= m_j.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import contextlib
-import functools
 import gc
 import itertools
 import math
@@ -59,7 +60,11 @@ class QuantumParams(Record):
     __slots__ = ("N", "K", "d")
 
     def __init__(self, N: int, K: int, d: int):
-        self._set(N=N, K=K, d=d)
+        # one per run of a scan, where a small scan's runs hold a row or
+        # two each: its slots are written without _set's keyword loop
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "d", d)
 
     def __str__(self):
         return f"[[{self.N},{self.K},{self.d}]]"
@@ -123,45 +128,67 @@ def _ordered_rows(n: int, gens: list, ks: list[int], ds: list[int]) -> list[tupl
     d = min(d_i, d_j, d_l) descending, then the names (``str``) of the
     three generators.
 
-    A distribution sort (Knuth, TAOCP 5.2.5): the triples are visited
-    with i, j and l each taken in name order, and each is appended to
-    the run of its (K, d), so every run is in name order as it fills,
-    and the runs are read off by K, then d, descending.  The generators
-    l >= j fall, for a pair of least distance d, into groups of equal
-    (k_l, min(d, d_l)), each in name order and each bound whole for one
-    run; the groups are formed once per (j, d), and a run is held as
-    its three generator columns until it is read."""
-    by_name = sorted(range(len(gens)), key=lambda x: str(gens[x]))
-    later = [[l for l in by_name if l >= j] for j in range(len(gens))]
-
-    @functools.cache
-    def tails(j: int, d: int) -> list[tuple[int, int, list, int]]:
-        groups = {}
-        for l in later[j]:
-            groups.setdefault((ks[l], min(d, ds[l])), []).append(gens[l])
-        return [(k, d_l, group, len(group)) for (k, d_l), group in groups.items()]
-
-    runs = collections.defaultdict(lambda: ([], [], []))
-    for i in by_name:
-        g_i, k_i, d_i = [gens[i]], ks[i], ds[i]
-        for j in later[i]:
-            g_j, k_ij = [gens[j]], k_i + ks[j]
-            for k_l, d, group, size in tails(j, min(d_i, ds[j])):
-                first, second, third = runs[k_ij + k_l, d]
-                # a repeated one-item list extends faster than itertools.repeat
-                first += g_i * size
-                second += g_j * size
-                third += group
+    A distribution sort (Knuth, TAOCP 5.2.5) whose buckets are filled per
+    generator, not per row.  The generators are taken in descending index
+    order.  For each distance cap c that a generator still to come has,
+    the pairs j <= l with j at or after the current generator are held
+    in blocks of one j and one key (k_j + k_l, min(c, d_j, d_l)): a
+    column of g_j and one of the g_l in name order.  The blocks of a key
+    stand in the name order of their j, each inserted at j's name rank
+    when j is reached.  Generator i then adds, for each key of its cap
+    d_i, one segment to the run of (k_i + k_j + k_l, d): the key's
+    blocks, chained as they stand.  The runs are read off by K, then d,
+    descending, and the segments of a run by the name of their g_i, so
+    each row tuple is made once, by ``zip``, in its final place."""
+    names = list(map(str, gens))
+    # the lowest index of each cap: below it, no generator reads its table
+    lowest = dict(zip(reversed(ds), range(len(ds) - 1, -1, -1)))
+    # per cap, key -> the names of the blocks' j, their g_j and g_l columns
+    tables = {c: {} for c in lowest}
+    later, runs = [], collections.defaultdict(list)
+    for i in reversed(range(len(gens))):
+        g_i, k_i, d_i, name = gens[i], ks[i], ds[i], names[i]
+        bisect.insort(later, i, key=names.__getitem__)
+        # the blocks of j = i, by key; the caps of at least d_i share theirs
+        blocks = {}
+        for c, table in tables.items():
+            cap = c if c < d_i else d_i
+            groups = blocks.get(cap)
+            if groups is None:
+                groups = blocks[cap] = {}
+                for l in later:
+                    d = ds[l]
+                    key = k_i + ks[l], d if d < cap else cap
+                    groups.setdefault(key, []).append(gens[l])
+            for key, g_ls in groups.items():
+                g_js = [g_i] * len(g_ls)
+                if key not in table:
+                    table[key] = ([name], [g_js], [g_ls])
+                    continue
+                held, firsts, seconds = table[key]
+                at = bisect.bisect(held, name)
+                held.insert(at, name)
+                firsts.insert(at, g_js)
+                seconds.insert(at, g_ls)
+        # chained now, before the blocks of lower j join the tables
+        for (k, d), (_, firsts, seconds) in tables[d_i].items():
+            runs[k_i + k, d].append(
+                (name, g_i, itertools.chain(*firsts), itertools.chain(*seconds))
+            )
+        if lowest[d_i] == i:
+            del tables[d_i]
     rows = []
     # The rows hold only generators and QuantumParams objects, so they
     # form no cycles, but their allocations would set off collections
     # again and again.
     with collector_paused():
-        for k, d in sorted(runs, reverse=True):
+        for (k, d), segments in sorted(runs.items(), reverse=True):
             # Few distinct (K, d) occur, and QuantumParams is immutable,
-            # so each run shares one instance.
-            params = QuantumParams(3 * n, 2 * k - 3 * n, d)
-            rows += zip(*runs.pop((k, d)), itertools.repeat(params))
+            # so each run shares one instance, through one endless repeat.
+            params = itertools.repeat(QuantumParams(3 * n, 2 * k - 3 * n, d))
+            # the names are distinct, so no two segments tie
+            for _, g_i, firsts, seconds in sorted(segments):
+                rows += zip(itertools.repeat(g_i), firsts, seconds, params)
     return rows
 
 

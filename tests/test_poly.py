@@ -201,6 +201,17 @@ class TestTextForms:
         f = Z3Poly(coeffs)
         assert str(f) == format_ring_poly(f.coeffs)
 
+    def test_str_of_long_dense_polynomials(self):
+        # the one pass over the masks' digits against the coefficients,
+        # past one machine word and up to degree 2000
+        rng = random.Random(11)
+        for _ in range(60):
+            f = random_poly(rng, 2000)
+            assert str(f) == format_ring_poly(f.coeffs)
+        for degree in (63, 64, 65, 1999, 2000):
+            f = Z3Poly([rng.randrange(3) for _ in range(degree)] + [2])
+            assert str(f) == format_ring_poly(f.coeffs)
+
     def test_str_examples(self):
         assert str(P("x^4+2x^3+x+1")) == "x^4+2x^3+x+1"
         assert str(Z3Poly(())) == "0"

@@ -1,9 +1,15 @@
 """Tests for dual-containment checking, CSS parameter derivation,
 exhaustive scans, and the frozen reference table."""
 
+import collections
+import functools
 import gc
+import hashlib
+import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ternring import quantum
 from ternring.errors import BudgetExceeded, NotDualContaining, SelfCheckFailed, ZeroCode
@@ -77,6 +83,57 @@ def scan_by_string_sort(n, sign):
         (*(g for g, _, _ in triple), QuantumParams(3 * n, -neg_K, -neg_d))
         for neg_K, neg_d, _, triple in rows
     ]
+
+
+def ordered_rows_by_columns(n, gens, ks, ds):
+    """Column oracle for ``quantum._ordered_rows``: the former distribution
+    pass, with i, j and l each taken in name order, every triple's
+    generators appended to the three columns of its (K, d) run (a group
+    of l of equal (k_l, min(d, d_l)) at once), and the runs zipped into
+    rows by K, then d, descending."""
+    by_name = sorted(range(len(gens)), key=lambda x: str(gens[x]))
+    later = [[l for l in by_name if l >= j] for j in range(len(gens))]
+
+    @functools.cache
+    def tails(j, d):
+        groups = {}
+        for l in later[j]:
+            groups.setdefault((ks[l], min(d, ds[l])), []).append(gens[l])
+        return [(k, d_l, group, len(group)) for (k, d_l), group in groups.items()]
+
+    runs = collections.defaultdict(lambda: ([], [], []))
+    for i in by_name:
+        g_i, k_i, d_i = [gens[i]], ks[i], ds[i]
+        for j in later[i]:
+            g_j, k_ij = [gens[j]], k_i + ks[j]
+            for k_l, d, group, size in tails(j, min(d_i, ds[j])):
+                first, second, third = runs[k_ij + k_l, d]
+                first += g_i * size
+                second += g_j * size
+                third += group
+    rows = []
+    for k, d in sorted(runs, reverse=True):
+        params = QuantumParams(3 * n, 2 * k - 3 * n, d)
+        rows += zip(*runs.pop((k, d)), itertools.repeat(params))
+    return rows
+
+
+def component_table(n, sign):
+    """The scan's generators with the k and d of each component code."""
+    gens = quantum._dual_containing_generators(n, sign)
+    codes = [TernaryPolyCode._trusted(n, sign, g) for g in gens]
+    return gens, [c.k for c in codes], [c.min_distance() for c in codes]
+
+
+@st.composite
+def synthetic_tables(draw):
+    """Up to 12 generators named by distinct strings in an order of their
+    own, with k and d drawn from few values, so both tie often."""
+    names = draw(st.lists(st.text("abcd", min_size=1, max_size=3), min_size=1,
+                          max_size=12, unique=True))
+    ks = draw(st.lists(st.integers(0, 3), min_size=len(names), max_size=len(names)))
+    ds = draw(st.lists(st.integers(0, 4), min_size=len(names), max_size=len(names)))
+    return names, ks, ds
 
 
 class TestQuantumParams:
@@ -199,6 +256,35 @@ class TestScan:
         # one QuantumParams instance per distinct (K, d)
         params = [row[3] for row in rows]
         assert len({id(p) for p in params}) == len(set(params))
+
+    @pytest.mark.parametrize(
+        "n,sign",
+        [(n, sign) for n in range(1, 33) for sign in (PLUS, MINUS)] + [(36, MINUS)],
+    )
+    def test_order_matches_column_oracle(self, n, sign):
+        rows = scan_dual_containing(n, sign)
+        assert rows == ordered_rows_by_columns(n, *component_table(n, sign))
+        # one QuantumParams instance per distinct (K, d)
+        assert len({id(row[3]) for row in rows}) == len({row[3] for row in rows})
+
+    @given(synthetic_tables())
+    def test_synthetic_order_matches_column_oracle(self, table):
+        names, ks, ds = table
+        rows = quantum._ordered_rows(5, names, ks, ds)
+        assert rows == ordered_rows_by_columns(5, names, ks, ds)
+        assert len({id(row[3]) for row in rows}) == len({row[3] for row in rows})
+
+    def test_scan_order_is_pinned(self):
+        # every row of every scan with n <= 24, both signs, as text; the
+        # digest was taken before the rows were built block by block
+        digest = hashlib.sha256()
+        for n in range(1, 25):
+            for sign in (PLUS, MINUS):
+                for f1, f2, f3, p in scan_dual_containing(n, sign):
+                    digest.update(f"{f1} {f2} {f3} {p.N} {p.K} {p.d}\n".encode())
+        assert digest.hexdigest() == (
+            "d0edce7fa2604c26870a30013308221518347c9ef521b7c52d011344d6805965"
+        )
 
     def test_scan_misses_nothing(self):
         # brute cross-check at n = 4: every divisor triple that passes
